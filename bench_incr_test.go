@@ -12,6 +12,7 @@ import (
 
 	"flowdroid/internal/appgen"
 	"flowdroid/internal/core"
+	"flowdroid/internal/summarystore"
 )
 
 // BenchmarkIncrementalTaint quantifies warm re-analysis over the
@@ -92,10 +93,10 @@ func BenchmarkIncrementalTaint(b *testing.B) {
 	analyzeAll := func(sets []upd, summaryDir string) (benchIncrRun, []byte) {
 		var agg benchIncrRun
 		var reports bytes.Buffer
+		opts := core.DefaultOptions()
+		opts.SummaryStore = summarystore.Open(summaryDir)
 		start := time.Now()
 		for _, app := range sets {
-			opts := core.DefaultOptions()
-			opts.SummaryDir = summaryDir
 			res, err := core.AnalyzeFiles(context.Background(), app.files, opts)
 			if err != nil {
 				b.Fatal(err)

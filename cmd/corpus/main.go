@@ -29,32 +29,27 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"strings"
 	"syscall"
 
 	"flowdroid/internal/appgen"
+	"flowdroid/internal/core"
 	"flowdroid/internal/metrics"
 )
 
 func main() {
+	opts := core.DefaultOptions()
+	core.RegisterFlags(flag.CommandLine, &opts,
+		"max-propagations", "degrade", "workers", "lint", "sinks", "summary-dir",
+		"no-string-carriers", "no-reflection")
 	var (
 		profile     = flag.String("profile", "malware", "population profile: play, malware, or stress")
 		n           = flag.Int("n", 100, "number of apps to generate and analyze")
 		seed        = flag.Int64("seed", 1, "generation seed")
 		export      = flag.String("export", "", "also write the generated app packages under this directory")
 		timeout     = flag.Duration("timeout", 0, "per-app analysis deadline (0 = none)")
-		maxProps    = flag.Int("max-propagations", 0, "per-app taint-propagation budget (0 = unlimited)")
-		degrade     = flag.Bool("degrade", false, "retry budget-exhausted apps with cheaper configurations")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "per-app taint solver worker-pool size (<=1 = sequential)")
 		forcePanic  = flag.String("force-panic", "", "inject a panic while analyzing the named app (tests batch isolation)")
-		lint        = flag.Bool("lint", false, "run the IR verifier before each app's solvers")
-		sinks       = flag.String("sinks", "", "comma-separated sink selectors for a demand-driven query (empty = all sinks)")
-		summaryDir  = flag.String("summary-dir", "", "persistent method-summary store directory; a repeated run over the same corpus re-analyzes warm (empty = disabled)")
 		traceFile   = flag.String("trace", "", "write a JSONL span trace of every app's pipeline to this file")
 		showMetrics = flag.Bool("metrics", false, "print the corpus-aggregated metrics snapshot as JSON after the summary")
-		noCarriers  = flag.Bool("no-string-carriers", false, "disable the string-carrier fast path (String/StringBuilder/StringBuffer transfer functions and alias-search gating)")
-		noReflect   = flag.Bool("no-reflection", false, "disable reflection resolution; injected reflective leaks become invisible, so the exact-recall check is suspended")
 	)
 	flag.Parse()
 
@@ -79,24 +74,7 @@ func main() {
 		}
 		fmt.Printf("wrote %d app packages under %s\n", *n, *export)
 	}
-	ro := appgen.RunOptions{
-		Timeout:          *timeout,
-		MaxPropagations:  *maxProps,
-		Degrade:          *degrade,
-		Workers:          *workers,
-		FaultInject:      *forcePanic,
-		Lint:             *lint,
-		SummaryDir:       *summaryDir,
-		NoStringCarriers: *noCarriers,
-		NoReflection:     *noReflect,
-	}
-	if *sinks != "" {
-		for _, sel := range strings.Split(*sinks, ",") {
-			if sel = strings.TrimSpace(sel); sel != "" {
-				ro.Sinks = append(ro.Sinks, sel)
-			}
-		}
-	}
+	ro := appgen.RunOptions{Options: &opts, Timeout: *timeout, FaultInject: *forcePanic}
 	// An interrupt (SIGINT/SIGTERM) cancels the batch context: the app
 	// being analyzed stops at its next stage boundary, the apps never
 	// attempted are counted in the summary's incomplete line, and the
@@ -145,7 +123,7 @@ func main() {
 	// the report is restricted to the queried ones; under -no-reflection
 	// the injected reflective leaks are intentionally invisible. The
 	// exact-recall check only applies to full whole-program runs.
-	if len(ro.Sinks) == 0 && !ro.NoReflection && stats.TotalFound != stats.TotalInjected {
+	if opts.Query.IsAll() && opts.ResolveReflection && stats.TotalFound != stats.TotalInjected {
 		fmt.Printf("WARNING: found %d leaks but injected %d\n",
 			stats.TotalFound, stats.TotalInjected)
 		os.Exit(1)

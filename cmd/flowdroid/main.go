@@ -77,14 +77,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 
 	"flowdroid/internal/core"
 	"flowdroid/internal/insecurebank"
-	"flowdroid/internal/irlint"
-	"flowdroid/internal/lifecycle"
 	"flowdroid/internal/metrics"
 	"flowdroid/internal/service"
 )
@@ -95,53 +92,6 @@ const (
 	exitAnalysis = 2
 	exitUsage    = 64
 )
-
-// jsonReport is the machine-readable envelope of a run: the leak report
-// plus the resilience metadata scripts branch on.
-type jsonReport struct {
-	Status   string   `json:"status"`
-	Failure  string   `json:"failure,omitempty"`
-	Degraded []string `json:"degraded,omitempty"`
-	Counters struct {
-		CallGraphEdges   int `json:"callGraphEdges"`
-		PTAPropagations  int `json:"ptaPropagations"`
-		Propagations     int `json:"propagations"`
-		PathEdges        int `json:"pathEdges"`
-		Summaries        int `json:"summaries"`
-		PeakAbstractions int `json:"peakAbstractions"`
-		Workers          int `json:"workers"`
-		// ConeMethods/SkippedComponents are the demand-driven query's
-		// reachability-cone size and the components it let lifecycle
-		// modeling skip; zero (omitted) outside query mode.
-		ConeMethods       int `json:"coneMethods,omitempty"`
-		SkippedComponents int `json:"skippedComponents,omitempty"`
-		// Reflection counters: invoke-sites the constant-propagation pass
-		// resolved into call edges vs. left opaque; zero (omitted) under
-		// -no-reflection.
-		ReflectionResolved   int `json:"reflectionResolved,omitempty"`
-		ReflectionUnresolved int `json:"reflectionUnresolved,omitempty"`
-		// Summary-store counters, all zero (omitted) without -summary-dir.
-		SummaryHits        int `json:"summaryHits,omitempty"`
-		SummaryMisses      int `json:"summaryMisses,omitempty"`
-		SummaryInvalidated int `json:"summaryInvalidated,omitempty"`
-		SummaryCorrupt     int `json:"summaryCorrupt,omitempty"`
-		MethodsExplored    int `json:"methodsExplored,omitempty"`
-		MethodsReused      int `json:"methodsReused,omitempty"`
-		SummariesPersisted int `json:"summariesPersisted,omitempty"`
-	} `json:"counters"`
-	// Passes reports per-pipeline-pass execution vs. memoized-artifact
-	// reuse (runs/hits), non-trivial when -degrade retried the analysis.
-	Passes core.PassStats `json:"passes,omitempty"`
-	// Metrics is the recorder snapshot, present only under -metrics.
-	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
-	// Lint holds the IR verifier's diagnostics, present only under -lint.
-	Lint []irlint.Diagnostic `json:"lint,omitempty"`
-	// Soundness lists the reflective sites the constant-propagation pass
-	// could not resolve; omitted when empty and under -no-reflection, so
-	// reflection-free apps report identically in both modes.
-	Soundness *core.SoundnessReport `json:"soundness,omitempty"`
-	Leaks     any                   `json:"leaks"`
-}
 
 // flags is the program's flag set. A package-level ContinueOnError set
 // (instead of the flag package's default, which exits 2 on a bad flag)
@@ -156,29 +106,18 @@ func main() {
 // os.Exit, so the deferred cleanup (debug-listener close, signal-handler
 // release) always executes.
 func run() int {
+	opts := core.DefaultOptions()
+	core.RegisterFlags(flags, &opts,
+		"ap-length", "no-alias", "no-activation", "no-string-carriers", "no-reflection",
+		"no-lifecycle", "flat-lifecycle", "cha", "rules", "sinks",
+		"max-propagations", "degrade", "workers", "summary-dir",
+		"lint", "lint.enable", "lint.disable")
 	var (
-		apLength    = flags.Int("ap-length", 5, "maximal access-path length")
-		noAlias     = flags.Bool("no-alias", false, "disable the on-demand alias analysis")
-		noAct       = flags.Bool("no-activation", false, "disable activation statements (Andromeda-style aliasing)")
-		noCarriers  = flags.Bool("no-string-carriers", false, "disable the string-carrier fast path (String/StringBuilder/StringBuffer transfer functions and alias-search gating)")
-		noReflect   = flags.Bool("no-reflection", false, "disable reflection resolution (constant-string propagation, reflective call edges and the soundness report)")
-		noLifecycle = flags.Bool("no-lifecycle", false, "model only component creation, not the full lifecycle")
-		flat        = flags.Bool("flat-lifecycle", false, "single-pass lifecycle in canonical order")
-		useCHA      = flags.Bool("cha", false, "use the CHA call graph instead of points-to")
-		rulesFile   = flags.String("rules", "", "replace the built-in source/sink rules with this file")
-		sinks       = flags.String("sinks", "", "comma-separated sink selectors (label, Class.method, Class.method/N) for a demand-driven query; empty = all sinks")
 		showPaths   = flags.Bool("paths", false, "print the reconstructed statement path of each leak")
 		jsonOut     = flags.Bool("json", false, "emit the leak report as JSON")
 		showStats   = flags.Bool("stats", false, "print solver statistics and timings")
 		bank        = flags.Bool("insecurebank", false, "analyze the built-in InsecureBank app (RQ2)")
 		timeout     = flags.Duration("timeout", 0, "abort the analysis after this long and report the partial result (0 = no limit)")
-		maxProps    = flags.Int("max-propagations", 0, "taint-propagation budget; 0 = unlimited")
-		degrade     = flags.Bool("degrade", false, "on budget exhaustion retry with cheaper configurations (CHA, shorter access paths)")
-		workers     = flags.Int("workers", runtime.GOMAXPROCS(0), "taint solver worker-pool size (<=1 = sequential)")
-		summaryDir  = flags.String("summary-dir", "", "persistent method-summary store directory for warm re-analysis (empty = disabled)")
-		lint        = flags.Bool("lint", false, "run the IR verifier before the solvers; Error diagnostics abort with status InvalidProgram")
-		lintEnable  = flags.String("lint.enable", "", "comma-separated analyzer names to run (default: all)")
-		lintDisable = flags.String("lint.disable", "", "comma-separated analyzer names to skip")
 		lintJSON    = flags.Bool("lint.json", false, "emit lint diagnostics as JSON (implies -lint)")
 		traceFile   = flags.String("trace", "", "write a JSONL span trace of the pipeline to this file")
 		showMetrics = flags.Bool("metrics", false, "print the metrics snapshot as JSON (embedded in the report under -json)")
@@ -191,41 +130,7 @@ func run() int {
 		}
 		return exitUsage
 	}
-
-	opts := core.DefaultOptions()
-	opts.Taint.APLength = *apLength
-	opts.Taint.EnableAliasing = !*noAlias
-	opts.Taint.EnableActivation = !*noAct
-	opts.Taint.StringCarriers = !*noCarriers
-	opts.ResolveReflection = !*noReflect
-	opts.UseCHA = *useCHA
-	opts.MaxPropagations = *maxProps
-	opts.Degrade = *degrade
-	opts.Taint.Workers = *workers
-	opts.SummaryDir = *summaryDir
-	opts.Lint = *lint || *lintJSON || *lintEnable != "" || *lintDisable != ""
-	opts.LintEnable = *lintEnable
-	opts.LintDisable = *lintDisable
-	if *noLifecycle {
-		opts.Lifecycle.Mode = lifecycle.CreateOnly
-	}
-	if *flat {
-		opts.Lifecycle.Mode = lifecycle.FlatLifecycle
-	}
-	if *rulesFile != "" {
-		data, err := os.ReadFile(*rulesFile)
-		if err != nil {
-			return usageError(err.Error())
-		}
-		opts.SourceSinkRules = string(data)
-	}
-	if *sinks != "" {
-		for _, sel := range strings.Split(*sinks, ",") {
-			if sel = strings.TrimSpace(sel); sel != "" {
-				opts.Query.Sinks = append(opts.Query.Sinks, sel)
-			}
-		}
-	}
+	opts.Lint = opts.Lint || *lintJSON
 
 	// An interrupt (SIGINT/SIGTERM) cancels the analysis context: the
 	// pipeline stops at the next stage boundary and reports the partial
@@ -284,7 +189,9 @@ func run() int {
 			res, err = core.AnalyzeDir(ctx, path, opts)
 		}
 	default:
-		return usageError("usage: flowdroid [flags] <app-dir-or-zip>  (or -insecurebank)")
+		fmt.Fprintln(os.Stderr, "usage: flowdroid [flags] <app-dir-or-zip>  (or -insecurebank)")
+		flags.PrintDefaults()
+		return exitUsage
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flowdroid:", err)
@@ -292,38 +199,12 @@ func run() int {
 	}
 
 	if *jsonOut {
-		rep := jsonReport{Status: res.Status.String(), Degraded: res.Degraded, Passes: res.Passes, Leaks: res.Taint.Report()}
-		if res.Lint != nil {
-			rep.Lint = res.Lint.Diagnostics
-		}
+		var snap *metrics.Snapshot
 		if *showMetrics {
-			snap := rec.Snapshot()
-			rep.Metrics = &snap
+			s := rec.Snapshot()
+			snap = &s
 		}
-		if res.Failure != nil {
-			rep.Failure = res.Failure.Error()
-		}
-		if !res.Soundness.Empty() {
-			rep.Soundness = res.Soundness
-		}
-		rep.Counters.CallGraphEdges = res.Counters.CallGraphEdges
-		rep.Counters.PTAPropagations = res.Counters.PTAPropagations
-		rep.Counters.Propagations = res.Counters.Propagations
-		rep.Counters.PathEdges = res.Counters.PathEdges
-		rep.Counters.Summaries = res.Counters.Summaries
-		rep.Counters.PeakAbstractions = res.Counters.PeakAbstractions
-		rep.Counters.Workers = res.Counters.Workers
-		rep.Counters.ConeMethods = res.Counters.ConeMethods
-		rep.Counters.SkippedComponents = res.Counters.SkippedComponents
-		rep.Counters.ReflectionResolved = res.Counters.ReflectionResolved
-		rep.Counters.ReflectionUnresolved = res.Counters.ReflectionUnresolved
-		rep.Counters.SummaryHits = res.Counters.SummaryHits
-		rep.Counters.SummaryMisses = res.Counters.SummaryMisses
-		rep.Counters.SummaryInvalidated = res.Counters.SummaryInvalidated
-		rep.Counters.SummaryCorrupt = res.Counters.SummaryCorrupt
-		rep.Counters.MethodsExplored = res.Counters.MethodsExplored
-		rep.Counters.MethodsReused = res.Counters.MethodsReused
-		rep.Counters.SummariesPersisted = res.Counters.SummariesPersisted
+		rep := core.NewEnvelope(res, res.Taint.Report(), snap)
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
@@ -431,12 +312,4 @@ func exitCode(res *core.Result) int {
 		return exitLeaks
 	}
 	return exitClean
-}
-
-// usageError prints the message plus the flag defaults and returns the
-// usage exit code for the caller to return.
-func usageError(msg string) int {
-	fmt.Fprintln(os.Stderr, msg)
-	flags.PrintDefaults()
-	return exitUsage
 }

@@ -50,6 +50,7 @@ import (
 	"syscall"
 	"time"
 
+	"flowdroid/internal/core"
 	"flowdroid/internal/metrics"
 	"flowdroid/internal/service"
 )
@@ -69,6 +70,8 @@ func main() {
 // run is main with an exit code, so deferred cleanup (trace flush,
 // listener close) still executes on every path.
 func run() int {
+	opts := core.DefaultOptions()
+	core.RegisterFlags(flags, &opts, "max-propagations", "summary-dir", "no-string-carriers", "no-reflection")
 	var (
 		addr         = flags.String("addr", "127.0.0.1:8040", "HTTP listen address")
 		queueSize    = flags.Int("queue", 64, "job queue bound; submissions beyond it are rejected with 429")
@@ -76,14 +79,10 @@ func run() int {
 		workerBudget = flags.Int("worker-budget", runtime.GOMAXPROCS(0), "global taint-worker budget shared fairly across executors")
 		defTimeout   = flags.Duration("default-timeout", 2*time.Minute, "per-job deadline for requests that set none")
 		maxTimeout   = flags.Duration("max-timeout", 10*time.Minute, "cap on requested per-job deadlines")
-		maxProps     = flags.Int("max-propagations", 0, "default per-job taint-propagation budget (0 = unlimited)")
 		breakerTrip  = flags.Int("breaker-trip", 3, "consecutive bad outcomes per app fingerprint that trip its circuit breaker (-1 disables)")
 		breakerCool  = flags.Duration("breaker-cooldown", 30*time.Second, "how long a tripped circuit stays open before one probe is admitted")
 		drainTimeout = flags.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight jobs before cancelling them")
 		retainJobs   = flags.Int("retain-jobs", 1024, "finished jobs kept queryable before eviction")
-		summaryDir   = flags.String("summary-dir", "", "persistent method-summary store directory shared by all jobs; resubmitted app updates re-analyze warm (empty = disabled)")
-		noCarriers   = flags.Bool("no-string-carriers", false, "disable the string-carrier fast path for all jobs (String/StringBuilder/StringBuffer transfer functions and alias-search gating)")
-		noReflect    = flags.Bool("no-reflection", false, "disable reflection resolution for all jobs (constant-string propagation, reflective call edges and soundness reports)")
 		traceFile    = flags.String("trace", "", "write a JSONL span trace of every job's pipeline to this file")
 		pprofOn      = flags.Bool("pprof", false, "also mount /debug/pprof and /debug/vars on the API mux")
 	)
@@ -114,19 +113,16 @@ func run() int {
 	}
 
 	svc := service.New(service.Config{
-		QueueSize:              *queueSize,
-		Analyses:               *analyses,
-		WorkerBudget:           *workerBudget,
-		DefaultDeadline:        *defTimeout,
-		MaxDeadline:            *maxTimeout,
-		DefaultMaxPropagations: *maxProps,
-		BreakerTrip:            *breakerTrip,
-		BreakerCooldown:        *breakerCool,
-		RetainJobs:             *retainJobs,
-		SummaryDir:             *summaryDir,
-		DisableStringCarriers:  *noCarriers,
-		DisableReflection:      *noReflect,
-		Recorder:               rec,
+		QueueSize:       *queueSize,
+		Analyses:        *analyses,
+		WorkerBudget:    *workerBudget,
+		DefaultDeadline: *defTimeout,
+		MaxDeadline:     *maxTimeout,
+		BreakerTrip:     *breakerTrip,
+		BreakerCooldown: *breakerCool,
+		RetainJobs:      *retainJobs,
+		Options:         &opts,
+		Recorder:        rec,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -81,7 +81,7 @@ type CorpusStats struct {
 	// apps — the corpus-level slowest-pass table.
 	PassTimes map[string]time.Duration
 
-	// QueriedSinks echoes RunOptions.Sinks; non-empty means the corpus
+	// QueriedSinks echoes the run's Query.Sinks; non-empty means the corpus
 	// ran in demand-driven query mode and the cone aggregates below are
 	// meaningful.
 	QueriedSinks []string
@@ -93,7 +93,7 @@ type CorpusStats struct {
 
 	// ReflectionResolved/ReflectionUnresolved sum each app's soundness
 	// accounting: reflective sites resolved into call edges versus left
-	// opaque (both zero under RunOptions.NoReflection).
+	// opaque (both zero with reflection resolution off).
 	ReflectionResolved   int
 	ReflectionUnresolved int
 }
@@ -101,39 +101,17 @@ type CorpusStats struct {
 // RunOptions bound and harden a corpus run. The zero value reproduces
 // the unbounded historical behaviour.
 type RunOptions struct {
+	// Options is the analysis configuration every app runs under (nil =
+	// core.DefaultOptions()). A summary store in it is shared by the
+	// whole batch: a second corpus run over the same or lightly mutated
+	// apps re-analyzes warm. Leak statistics are worker-count- and
+	// store-independent.
+	Options *core.Options
 	// Timeout bounds each app's analysis (0 = none).
 	Timeout time.Duration
-	// MaxPropagations is the per-app taint propagation budget (0 =
-	// unlimited).
-	MaxPropagations int
-	// Degrade enables the CHA/access-path degradation ladder on budget
-	// exhaustion.
-	Degrade bool
-	// Workers is the per-app taint solver worker-pool size (<=1 =
-	// sequential). The aggregated leak statistics are worker-count-
-	// independent.
-	Workers int
 	// FaultInject names an app whose analysis is made to panic, for
 	// exercising the batch isolation path (chaos testing).
 	FaultInject string
-	// Lint runs the IR verifier before each app's solvers; apps with
-	// Error diagnostics roll up under the InvalidProgram status.
-	Lint bool
-	// Sinks restricts each app's analysis to the named sink selectors
-	// (demand-driven query mode); empty analyzes all sinks.
-	Sinks []string
-	// SummaryDir, when non-empty, runs every app through the persistent
-	// method-summary store rooted there (see internal/summarystore): a
-	// second corpus run over the same or lightly mutated apps re-analyzes
-	// warm. Leak statistics are store-independent.
-	SummaryDir string
-	// NoStringCarriers disables the string-carrier fast path (kill
-	// switch; see taint.Config.StringCarriers).
-	NoStringCarriers bool
-	// NoReflection disables the reflection-resolving constant-propagation
-	// pass (kill switch; see core.Options.ResolveReflection). Reflective
-	// leaks planted by the reflection profile go unfound under it.
-	NoReflection bool
 }
 
 // AvgLeaksPerApp is the paper's "1.85 leaks per application" figure.
@@ -187,13 +165,17 @@ func RunCorpusWith(ctx context.Context, p Profile, n int, seed int64, ro RunOpti
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	opts := core.DefaultOptions()
+	if ro.Options != nil {
+		opts = *ro.Options
+	}
 	stats := CorpusStats{
 		Profile:      p.Name,
 		BySink:       make(map[string]int),
 		Passes:       make(core.PassStats),
 		PassTimes:    make(map[string]time.Duration),
 		Times:        make(map[string]*TimeRollup),
-		QueriedSinks: ro.Sinks,
+		QueriedSinks: opts.Query.Sinks,
 	}
 	apps := GenerateCorpus(p, n, seed)
 	for i, app := range apps {
@@ -202,7 +184,7 @@ func RunCorpusWith(ctx context.Context, p Profile, n int, seed int64, ro RunOpti
 			break
 		}
 		start := time.Now()
-		res, err := analyzeOne(ctx, app, ro)
+		res, err := analyzeOne(ctx, app, ro, opts)
 		el := time.Since(start)
 		stats.Apps++
 		stats.TotalInjected += app.InjectedLeaks
@@ -284,7 +266,7 @@ func (e *panicErr) Error() string { return fmt.Sprintf("panic: %v", e.value) }
 // any panic that escapes the core pipeline's own stage recovery (or is
 // injected via RunOptions.FaultInject) into an error so the batch
 // survives.
-func analyzeOne(ctx context.Context, app App, ro RunOptions) (res *core.Result, err error) {
+func analyzeOne(ctx context.Context, app App, ro RunOptions, opts core.Options) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &panicErr{r}
@@ -298,15 +280,6 @@ func analyzeOne(ctx context.Context, app App, ro RunOptions) (res *core.Result, 
 	if ro.FaultInject != "" && ro.FaultInject == app.Name {
 		panic("appgen: injected fault in " + app.Name)
 	}
-	opts := core.DefaultOptions()
-	opts.MaxPropagations = ro.MaxPropagations
-	opts.Degrade = ro.Degrade
-	opts.Taint.Workers = ro.Workers
-	opts.Taint.StringCarriers = !ro.NoStringCarriers
-	opts.ResolveReflection = !ro.NoReflection
-	opts.Lint = ro.Lint
-	opts.Query = core.Query{Sinks: ro.Sinks}
-	opts.SummaryDir = ro.SummaryDir
 	return core.AnalyzeFiles(ctx, app.Files, opts)
 }
 

@@ -4,14 +4,28 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"flowdroid/internal/core"
 )
+
+// withOptions is a RunOptions over core.DefaultOptions changed by set.
+func withOptions(set func(*core.Options)) RunOptions {
+	opts := core.DefaultOptions()
+	set(&opts)
+	return RunOptions{Options: &opts}
+}
+
+// workers is a RunOptions with the given taint worker count.
+func workers(w int) RunOptions {
+	return withOptions(func(o *core.Options) { o.Taint.Workers = w })
+}
 
 // TestCorpusWorkerCountEquivalence: a corpus batch must aggregate to the
 // same leak statistics at any taint worker count — same total, same
 // apps-with-leaks count, same per-sink distribution.
 func TestCorpusWorkerCountEquivalence(t *testing.T) {
 	const n, seed = 6, 42
-	base, err := RunCorpusWith(context.Background(), Stress, n, seed, RunOptions{Workers: 1})
+	base, err := RunCorpusWith(context.Background(), Stress, n, seed, workers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +36,7 @@ func TestCorpusWorkerCountEquivalence(t *testing.T) {
 		t.Fatalf("sequential baseline had abnormal outcomes: %+v", base.Failures)
 	}
 	for _, w := range []int{2, 8} {
-		stats, err := RunCorpusWith(context.Background(), Stress, n, seed, RunOptions{Workers: w})
+		stats, err := RunCorpusWith(context.Background(), Stress, n, seed, workers(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +57,7 @@ func TestCorpusWorkerCountEquivalence(t *testing.T) {
 // transfers (and the alias gate) are genuinely exercised.
 func TestCorpusStringCarrierEquivalence(t *testing.T) {
 	const n, seed = 6, 42
-	base, err := RunCorpusWith(context.Background(), Stress, n, seed, RunOptions{Workers: 1})
+	base, err := RunCorpusWith(context.Background(), Stress, n, seed, workers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +66,7 @@ func TestCorpusStringCarrierEquivalence(t *testing.T) {
 	}
 	for _, w := range []int{1, 8} {
 		stats, err := RunCorpusWith(context.Background(), Stress, n, seed,
-			RunOptions{Workers: w, NoStringCarriers: true})
+			withOptions(func(o *core.Options) { o.Taint.Workers, o.Taint.StringCarriers = w, false }))
 		if err != nil {
 			t.Fatal(err)
 		}

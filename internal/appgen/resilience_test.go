@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"flowdroid/internal/core"
 )
 
 // TestCorpusFaultIsolation: one app forced to panic mid-batch is reported
@@ -86,14 +88,14 @@ func TestCorpusBatchCancellation(t *testing.T) {
 // accounting, and enabling degradation records downgraded apps.
 func TestCorpusBudgetAndDegrade(t *testing.T) {
 	const n = 3
-	stats, err := RunCorpusWith(context.Background(), Play, n, 7, RunOptions{MaxPropagations: 10})
+	stats, err := RunCorpusWith(context.Background(), Play, n, 7, withOptions(func(o *core.Options) { o.Taint.MaxPropagations = 10 }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Exhausted == 0 {
 		t.Error("no app exhausted a 10-propagation budget")
 	}
-	degraded, err := RunCorpusWith(context.Background(), Play, n, 7, RunOptions{MaxPropagations: 10, Degrade: true})
+	degraded, err := RunCorpusWith(context.Background(), Play, n, 7, withOptions(func(o *core.Options) { o.Taint.MaxPropagations, o.Degrade = 10, true }))
 	if err != nil {
 		t.Fatal(err)
 	}

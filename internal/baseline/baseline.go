@@ -29,7 +29,6 @@ func AppScanOptions() core.Options {
 	opts := core.DefaultOptions()
 	opts.Lifecycle = lifecycle.Options{
 		Mode:                  lifecycle.CreateOnly,
-		ModelLifecycle:        true, // Mode carries the semantics
 		InvokeCallbacks:       true,
 		RunStaticInitializers: true,
 		XMLCallbacksOnly:      true,

@@ -34,7 +34,8 @@ import (
 )
 
 // Options configures a pipeline run. The zero value is not useful; start
-// from DefaultOptions.
+// from DefaultOptions. The CLIs bind their flags into it (RegisterFlags),
+// and the summary store's namespace is derived from it (fingerprint.go).
 type Options struct {
 	// Taint configures the taint engine.
 	Taint taint.Config
@@ -54,11 +55,11 @@ type Options struct {
 	// and the solvers. Error-severity diagnostics abort the run with
 	// Status == InvalidProgram before any solver executes; warnings are
 	// reported in Result.Lint and counted in Result.Counters.
-	Lint bool
+	Lint bool `fingerprint:"schedule"`
 	// LintEnable/LintDisable are comma-separated analyzer name lists
 	// narrowing the verifier (empty LintEnable means all analyzers).
-	LintEnable  string
-	LintDisable string
+	LintEnable  string `fingerprint:"schedule"`
+	LintDisable string `fingerprint:"schedule"`
 	// UseCHA selects the class-hierarchy call graph instead of the
 	// points-to-refined one (faster, less precise).
 	UseCHA bool
@@ -71,29 +72,21 @@ type Options struct {
 	// on the CLIs turns it off, restoring the pre-reflection pipeline
 	// byte for byte.
 	ResolveReflection bool
-	// MaxPropagations bounds the taint solver's attempted propagations;
-	// 0 is unlimited. Exhausting the budget yields Status ==
-	// BudgetExhausted with the partial leak set.
-	MaxPropagations int
 	// Degrade enables the graceful-degradation ladder: when the
-	// propagation budget runs out and the context still has time, the
-	// analysis is retried with cheaper configurations (CHA call graph,
-	// then access-path length 3, then 1), recording each downgrade in
-	// Result.Degraded.
-	Degrade bool
-	// SummaryDir, when non-empty, enables the persistent method-summary
-	// store rooted at that directory (see internal/summarystore): the
-	// taint solver replays summaries recorded by earlier completed runs
-	// for methods whose bodies and resolved callees are unchanged, and
-	// persists fresh ones after a completed run. The store never changes
-	// the leak report — only how much of it is recomputed. Corrupt or
-	// stale entries are treated as cache misses, never errors.
-	SummaryDir string
-	// SummaryStore is an already opened summary store to use instead of
-	// opening SummaryDir; a resident daemon shares one store across jobs
-	// this way. When nil and SummaryDir is set, AnalyzeApp opens the
-	// directory itself.
-	SummaryStore *summarystore.Store
+	// propagation budget (Taint.MaxPropagations) runs out and the
+	// context still has time, the analysis is retried with cheaper
+	// configurations (CHA call graph, then access-path length 3, then
+	// 1), recording each downgrade in Result.Degraded.
+	Degrade bool `fingerprint:"schedule"`
+	// SummaryStore, when non-nil, is the persistent method-summary store
+	// (see internal/summarystore), shared across apps by a daemon or a
+	// corpus run: the taint solver replays summaries recorded by earlier
+	// completed runs for methods whose bodies and resolved callees are
+	// unchanged, and persists fresh ones after a completed run. The
+	// store never changes the leak report — only how much of it is
+	// recomputed. Corrupt or stale entries are cache misses, never
+	// errors.
+	SummaryStore *summarystore.Store `fingerprint:"deployment"`
 }
 
 // DefaultOptions mirrors the paper's FlowDroid configuration.
@@ -170,9 +163,6 @@ func (r *Result) Leaks() []*taint.Leak { return r.Taint.DistinctSourceSinkPairs(
 func AnalyzeApp(ctx context.Context, app *apk.App, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if opts.SummaryStore == nil && opts.SummaryDir != "" {
-		opts.SummaryStore = summarystore.Open(opts.SummaryDir)
 	}
 	pl := newPipeline(app)
 	res, err := pl.run(ctx, opts)

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"time"
@@ -164,45 +162,6 @@ type cgArtifact struct {
 type reflArtifact struct {
 	res   *constprop.Result
 	edges map[ir.Stmt][]*ir.Method
-}
-
-// summaryFingerprint digests every configuration input that changes the
-// taint solver's transfer functions or seeds, scoping the persistent
-// summary store's namespace: two runs may only share summaries when they
-// would compute identical per-method-context facts. Schedule-only knobs
-// (Workers, MaxPropagations, MaxLeaks) are deliberately excluded — they
-// change how much is explored, never what a completed run computes.
-// The store format version is folded in so a scheme change invalidates
-// wholesale, and the layout password controls are included because they
-// synthesize per-app source rules.
-func summaryFingerprint(app *apk.App, opts Options, qfp string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "v%d\n", summarystore.FormatVersion)
-	fmt.Fprintf(h, "rules:%s\n", opts.SourceSinkRules)
-	fmt.Fprintf(h, "query:%s\n", qfp)
-	tc := opts.Taint
-	fmt.Fprintf(h, "taint:%d,%t,%t,%t,%t,%t,%t,%t\n",
-		tc.APLength, tc.EnableAliasing, tc.EnableActivation, tc.InjectContext,
-		tc.FieldSensitive, tc.FlowSensitive, tc.ArrayIndexSensitive,
-		tc.StringCarriers)
-	fmt.Fprintf(h, "wrapper:%s\n", tc.Wrapper.Fingerprint())
-	fmt.Fprintf(h, "cha:%t\n", opts.UseCHA)
-	// Reflection resolution changes which call edges exist — and hence
-	// which callee facts a method summary encodes — so summaries recorded
-	// with and without it are never interchangeable.
-	fmt.Fprintf(h, "reflect:%t\n", opts.ResolveReflection)
-	fmt.Fprintf(h, "lifecycle:%+v\n", opts.Lifecycle)
-	var layouts []string
-	for name, l := range app.Layouts {
-		for _, c := range l.PasswordControls() {
-			layouts = append(layouts, name+"/"+c.Kind+"#"+c.ID)
-		}
-	}
-	sort.Strings(layouts)
-	for _, l := range layouts {
-		fmt.Fprintf(h, "layout:%s\n", l)
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 func newPipeline(app *apk.App) *pipeline {
@@ -562,7 +521,7 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 	var sess *summarystore.Session
 	if opts.SummaryStore != nil {
 		stage = "summaries"
-		sumFP := summaryFingerprint(pl.app, opts, qfp)
+		sumFP := summaryFingerprint(pl.app, opts)
 		sess, _ = memo(pl, "summaries", fmt.Sprintf("%s@%p", sumFP, cg.graph), &pl.sums,
 			func() (*summarystore.Session, error) {
 				return opts.SummaryStore.Session(pl.app.Package, sumFP, summarystore.HashMethods(cg.graph)), nil
@@ -572,9 +531,6 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 	stage = "taint"
 	tstart = time.Now()
 	tc := opts.Taint
-	if opts.MaxPropagations > 0 {
-		tc.MaxPropagations = opts.MaxPropagations
-	}
 	if cn != nil {
 		tc.Cone = &taint.Cone{
 			Relevant:          cn.Relevant,

@@ -38,7 +38,7 @@ func TestDegradeLadderReusesUpstreamArtifacts(t *testing.T) {
 	app := stressApp(t)
 	opts := core.DefaultOptions()
 	opts.UseCHA = true
-	opts.MaxPropagations = 500
+	opts.Taint.MaxPropagations = 500
 	opts.Degrade = true
 	res, err := core.AnalyzeFiles(context.Background(), app.Files, opts)
 	if err != nil {
@@ -73,7 +73,7 @@ func TestDegradeLadderReusesUpstreamArtifacts(t *testing.T) {
 func TestChaRungInvalidatesCallGraphAndICFGOnly(t *testing.T) {
 	app := stressApp(t)
 	opts := core.DefaultOptions()
-	opts.MaxPropagations = 500
+	opts.Taint.MaxPropagations = 500
 	opts.Degrade = true
 	res, err := core.AnalyzeFiles(context.Background(), app.Files, opts)
 	if err != nil {

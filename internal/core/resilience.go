@@ -18,7 +18,7 @@ const (
 	// DeadlineExceeded means the context expired or was cancelled before
 	// the pipeline finished; the result holds what was computed so far.
 	DeadlineExceeded
-	// BudgetExhausted means the propagation budget (Options.
+	// BudgetExhausted means the propagation budget (Options.Taint.
 	// MaxPropagations) ran out during the taint solve.
 	BudgetExhausted
 	// Recovered means a stage panicked; the panic was converted into
@@ -70,52 +70,55 @@ func (f *Failure) Error() string {
 
 // Counters are the per-stage effort counters of a run. A truncated run
 // reports what it did finish; zero fields belong to stages never reached.
+// The JSON tags are the "counters" object of the result Envelope; the
+// field order is its key order.
 type Counters struct {
 	// CallGraphEdges is the number of call edges in the final graph.
-	CallGraphEdges int
+	CallGraphEdges int `json:"callGraphEdges"`
 	// PTAPropagations counts points-to set insertions (zero under CHA).
-	PTAPropagations int
+	PTAPropagations int `json:"ptaPropagations"`
 	// Propagations counts the taint solver's novel path-edge insertions,
-	// the unit MaxPropagations charges.
-	Propagations int
+	// the unit Taint.MaxPropagations charges.
+	Propagations int `json:"propagations"`
 	// PathEdges counts distinct forward plus backward path edges.
-	PathEdges int
+	PathEdges int `json:"pathEdges"`
 	// Summaries counts method summaries the taint solver installed.
-	Summaries int
+	Summaries int `json:"summaries"`
 	// PeakAbstractions is the taint solver's interned fact count.
-	PeakAbstractions int
+	PeakAbstractions int `json:"peakAbstractions"`
 	// Workers is the taint solver's worker-pool size (1 = sequential).
-	Workers int
-	// LintErrors and LintWarnings count the IR verifier's diagnostics
-	// (zero when Options.Lint is off).
-	LintErrors   int
-	LintWarnings int
-	// ReflectionResolved and ReflectionUnresolved count the reflective
-	// call sites the constant-propagation pass turned into real call
-	// edges versus left opaque (both zero with reflection resolution
-	// off).
-	ReflectionResolved   int
-	ReflectionUnresolved int
+	Workers int `json:"workers"`
 	// ConeMethods is the size of the query's sink-reaching cone and
 	// SkippedComponents the number of components left out of dummy-main
 	// modeling because they were entirely outside it (both zero on
 	// whole-program runs).
-	ConeMethods       int
-	SkippedComponents int
+	ConeMethods       int `json:"coneMethods,omitempty"`
+	SkippedComponents int `json:"skippedComponents,omitempty"`
+	// ReflectionResolved and ReflectionUnresolved count the reflective
+	// call sites the constant-propagation pass turned into real call
+	// edges versus left opaque (both zero with reflection resolution
+	// off).
+	ReflectionResolved   int `json:"reflectionResolved,omitempty"`
+	ReflectionUnresolved int `json:"reflectionUnresolved,omitempty"`
 	// Summary-store effect counters, all zero when no store was
-	// configured (Options.SummaryDir). Hits/Misses/Invalidated/Corrupt
+	// configured (Options.SummaryStore). Hits/Misses/Invalidated/Corrupt
 	// classify the store lookups the solver made; MethodsReused and
 	// MethodsExplored split the reachable analyzable methods into those
 	// covered by replayed summaries versus those actually re-solved;
 	// SummariesPersisted counts the method-context records written back
 	// after a completed run.
-	SummaryHits        int
-	SummaryMisses      int
-	SummaryInvalidated int
-	SummaryCorrupt     int
-	MethodsExplored    int
-	MethodsReused      int
-	SummariesPersisted int
+	SummaryHits        int `json:"summaryHits,omitempty"`
+	SummaryMisses      int `json:"summaryMisses,omitempty"`
+	SummaryInvalidated int `json:"summaryInvalidated,omitempty"`
+	SummaryCorrupt     int `json:"summaryCorrupt,omitempty"`
+	MethodsExplored    int `json:"methodsExplored,omitempty"`
+	MethodsReused      int `json:"methodsReused,omitempty"`
+	SummariesPersisted int `json:"summariesPersisted,omitempty"`
+	// LintErrors and LintWarnings count the IR verifier's diagnostics
+	// (zero when Options.Lint is off). The envelope carries the
+	// diagnostics themselves instead.
+	LintErrors   int `json:"-"`
+	LintWarnings int `json:"-"`
 }
 
 // SummaryReuseRate is the fraction of reachable analyzable methods whose

@@ -80,7 +80,7 @@ func TestDeadlineExceededPromptly(t *testing.T) {
 func TestBudgetExhausted(t *testing.T) {
 	app := stressApp(t)
 	opts := core.DefaultOptions()
-	opts.MaxPropagations = 500
+	opts.Taint.MaxPropagations = 500
 	res, err := core.AnalyzeFiles(context.Background(), app.Files, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestBudgetExhausted(t *testing.T) {
 func TestGracefulDegradation(t *testing.T) {
 	app := stressApp(t)
 	opts := core.DefaultOptions()
-	opts.MaxPropagations = 500
+	opts.Taint.MaxPropagations = 500
 	opts.Degrade = true
 	res, err := core.AnalyzeFiles(context.Background(), app.Files, opts)
 	if err != nil {

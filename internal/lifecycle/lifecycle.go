@@ -46,8 +46,6 @@ const (
 type Options struct {
 	// Mode selects the lifecycle automaton shape.
 	Mode Mode
-	// ModelLifecycle is a legacy alias: when false it forces CreateOnly.
-	ModelLifecycle bool
 	// InvokeCallbacks controls whether discovered callbacks are invoked.
 	InvokeCallbacks bool
 	// RunStaticInitializers calls every app class's clinit method at the
@@ -76,22 +74,14 @@ type Options struct {
 // generated-class marker ("" when nothing is skipped).
 func (o Options) SkipFingerprint() string { return strings.Join(o.SkipComponents, ",") }
 
-// effectiveMode folds the legacy ModelLifecycle flag into the mode.
-func (o Options) effectiveMode() Mode {
-	if !o.ModelLifecycle && o.Mode == FullLifecycle {
-		return CreateOnly
-	}
-	return o.Mode
-}
-
 // DefaultOptions is the configuration FlowDroid uses.
 func DefaultOptions() Options {
-	return Options{Mode: FullLifecycle, ModelLifecycle: true, InvokeCallbacks: true, RunStaticInitializers: true}
+	return Options{Mode: FullLifecycle, InvokeCallbacks: true, RunStaticInitializers: true}
 }
 
 // FlatOptions is the single-pass lifecycle model of coarse tools.
 func FlatOptions() Options {
-	return Options{Mode: FlatLifecycle, ModelLifecycle: true, InvokeCallbacks: true, RunStaticInitializers: true}
+	return Options{Mode: FlatLifecycle, InvokeCallbacks: true, RunStaticInitializers: true}
 }
 
 // Generate synthesizes the dummy main method for the app and registers its
@@ -307,7 +297,7 @@ func (g *generator) emitActivity(comp *apk.Component) {
 	a := g.newLocal("a", comp.Class)
 	bundle := g.newLocal("b", "android.os.Bundle")
 
-	switch g.opts.effectiveMode() {
+	switch g.opts.Mode {
 	case CreateOnly:
 		mb.VCall(a, "onCreate", bundle)
 		g.emitCallbacksFlat(comp, a)
@@ -362,7 +352,7 @@ func (g *generator) emitActivity(comp *apk.Component) {
 func (g *generator) emitService(comp *apk.Component) {
 	mb := g.mb
 	s := g.newLocal("s", comp.Class)
-	switch g.opts.effectiveMode() {
+	switch g.opts.Mode {
 	case CreateOnly:
 		mb.VCall(s, "onCreate")
 		g.emitCallbacksFlat(comp, s)
@@ -401,7 +391,7 @@ func (g *generator) emitReceiver(comp *apk.Component) {
 	r := g.newLocal("r", comp.Class)
 	ctx := g.newLocal("c", "android.content.Context")
 	intent := g.newLocal("i", "android.content.Intent")
-	if g.opts.effectiveMode() != FullLifecycle {
+	if g.opts.Mode != FullLifecycle {
 		mb.VCall(r, "onReceive", ctx, intent)
 		g.emitCallbacksFlat(comp, r)
 		return
@@ -419,7 +409,7 @@ func (g *generator) emitProvider(comp *apk.Component) {
 	mb := g.mb
 	p := g.newLocal("p", comp.Class)
 	mb.VCall(p, "onCreate")
-	if g.opts.effectiveMode() != FullLifecycle {
+	if g.opts.Mode != FullLifecycle {
 		g.emitCallbacksFlat(comp, p)
 		return
 	}

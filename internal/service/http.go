@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"flowdroid/internal/core"
-	"flowdroid/internal/irlint"
 	"flowdroid/internal/metrics"
 	"flowdroid/internal/taint"
 )
@@ -28,6 +27,13 @@ import (
 //	429 + Retry-After   queue full (ErrQueueFull)
 //	503 + Retry-After   circuit open for this app fingerprint
 //	503                 draining (shutdown in progress)
+//
+// A malformed submission is a 400, and one whose body exceeds
+// maxSubmitBytes a 413.
+
+// maxSubmitBytes bounds a POST /v1/jobs body: the decoder stops reading
+// there, so a client cannot make the daemon buffer without bound.
+const maxSubmitBytes = 16 << 20
 
 // SubmitResponse acknowledges an admitted job.
 type SubmitResponse struct {
@@ -49,85 +55,6 @@ type JobStatus struct {
 	// (Complete, DeadlineExceeded, ...), empty before that.
 	Status string `json:"status,omitempty"`
 	Error  string `json:"error,omitempty"`
-}
-
-// Report is the machine-readable result envelope, the same shape as
-// cmd/flowdroid's -json report except that Leaks is the canonical
-// (path-witness-free) form: two analyses of the same app under the same
-// configuration serialize byte-identically regardless of worker count
-// or of whether they ran here or in the one-shot CLI.
-type Report struct {
-	Status   string   `json:"status"`
-	Failure  string   `json:"failure,omitempty"`
-	Degraded []string `json:"degraded,omitempty"`
-	Counters struct {
-		CallGraphEdges   int `json:"callGraphEdges"`
-		PTAPropagations  int `json:"ptaPropagations"`
-		Propagations     int `json:"propagations"`
-		PathEdges        int `json:"pathEdges"`
-		Summaries        int `json:"summaries"`
-		PeakAbstractions int `json:"peakAbstractions"`
-		Workers          int `json:"workers"`
-		// ConeMethods/SkippedComponents describe the demand-driven
-		// query's reachability cone; zero (omitted) outside query mode.
-		ConeMethods       int `json:"coneMethods,omitempty"`
-		SkippedComponents int `json:"skippedComponents,omitempty"`
-		// Reflection counters: sites the constant-propagation pass turned
-		// into call edges versus left opaque (omitted when zero or with
-		// Config.DisableReflection).
-		ReflectionResolved   int `json:"reflectionResolved,omitempty"`
-		ReflectionUnresolved int `json:"reflectionUnresolved,omitempty"`
-		// Summary-store counters, all zero (omitted) when the daemon has
-		// no Config.SummaryDir.
-		SummaryHits        int `json:"summaryHits,omitempty"`
-		SummaryMisses      int `json:"summaryMisses,omitempty"`
-		SummaryInvalidated int `json:"summaryInvalidated,omitempty"`
-		SummaryCorrupt     int `json:"summaryCorrupt,omitempty"`
-		MethodsExplored    int `json:"methodsExplored,omitempty"`
-		MethodsReused      int `json:"methodsReused,omitempty"`
-		SummariesPersisted int `json:"summariesPersisted,omitempty"`
-	} `json:"counters"`
-	Passes core.PassStats      `json:"passes,omitempty"`
-	Lint   []irlint.Diagnostic `json:"lint,omitempty"`
-	// Soundness is the reflection pass's account of the app's reflective
-	// surface, present only when there is one (the field is omitted for
-	// apps with no reflective sites and for reflection-off runs, keeping
-	// those envelopes byte-identical to each other).
-	Soundness *core.SoundnessReport `json:"soundness,omitempty"`
-	Leaks     []taint.LeakReport    `json:"leaks"`
-}
-
-// ResultReport converts a finished analysis into the wire envelope.
-func ResultReport(res *core.Result) Report {
-	rep := Report{Status: res.Status.String(), Degraded: res.Degraded, Passes: res.Passes, Leaks: res.Taint.CanonicalReport()}
-	if res.Failure != nil {
-		rep.Failure = res.Failure.Error()
-	}
-	if res.Lint != nil {
-		rep.Lint = res.Lint.Diagnostics
-	}
-	if !res.Soundness.Empty() {
-		rep.Soundness = res.Soundness
-	}
-	rep.Counters.CallGraphEdges = res.Counters.CallGraphEdges
-	rep.Counters.PTAPropagations = res.Counters.PTAPropagations
-	rep.Counters.Propagations = res.Counters.Propagations
-	rep.Counters.PathEdges = res.Counters.PathEdges
-	rep.Counters.Summaries = res.Counters.Summaries
-	rep.Counters.PeakAbstractions = res.Counters.PeakAbstractions
-	rep.Counters.Workers = res.Counters.Workers
-	rep.Counters.ConeMethods = res.Counters.ConeMethods
-	rep.Counters.SkippedComponents = res.Counters.SkippedComponents
-	rep.Counters.ReflectionResolved = res.Counters.ReflectionResolved
-	rep.Counters.ReflectionUnresolved = res.Counters.ReflectionUnresolved
-	rep.Counters.SummaryHits = res.Counters.SummaryHits
-	rep.Counters.SummaryMisses = res.Counters.SummaryMisses
-	rep.Counters.SummaryInvalidated = res.Counters.SummaryInvalidated
-	rep.Counters.SummaryCorrupt = res.Counters.SummaryCorrupt
-	rep.Counters.MethodsExplored = res.Counters.MethodsExplored
-	rep.Counters.MethodsReused = res.Counters.MethodsReused
-	rep.Counters.SummariesPersisted = res.Counters.SummariesPersisted
-	return rep
 }
 
 func statusOf(v JobView) JobStatus {
@@ -207,9 +134,14 @@ func MetricsHandler(rec *metrics.Recorder) http.HandlerFunc {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), 0)
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err), 0)
 		return
 	}
@@ -259,9 +191,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	switch view.State {
 	case Done:
-		writeJSON(w, http.StatusOK, ResultReport(view.Result))
+		// The canonical (path-witness-free) leaks: two analyses of the same
+		// app under the same configuration serialize byte-identically
+		// regardless of worker count or of whether they ran here or in the
+		// one-shot CLI.
+		writeJSON(w, http.StatusOK, core.NewEnvelope(view.Result, view.Result.Taint.CanonicalReport(), nil))
 	case Failed:
-		writeJSON(w, http.StatusOK, Report{Status: "Error", Failure: view.Err.Error(), Leaks: []taint.LeakReport{}})
+		writeJSON(w, http.StatusOK, core.Envelope{Status: "Error", Failure: view.Err.Error(), Leaks: []taint.LeakReport{}})
 	default:
 		writeError(w, http.StatusConflict, fmt.Sprintf("job %s is %s, result not ready", view.ID, view.State), 0)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"flowdroid/internal/appgen"
+	"flowdroid/internal/core"
 	"flowdroid/internal/metrics"
 )
 
@@ -103,7 +105,7 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("result: %d %s", resp.StatusCode, body)
 	}
-	var rep Report
+	var rep core.Envelope
 	if err := json.Unmarshal(body, &rep); err != nil {
 		t.Fatalf("result body: %v", err)
 	}
@@ -205,6 +207,44 @@ func TestHTTPRejections(t *testing.T) {
 	}
 	release <- struct{}{}
 	release <- struct{}{}
+}
+
+// TestHTTPSubmitBodyLimit: a submission body over maxSubmitBytes is
+// answered 413 instead of being decoded without bound, and the daemon
+// keeps serving afterwards.
+func TestHTTPSubmitBodyLimit(t *testing.T) {
+	_, ts := newTestAPI(t, Config{QueueSize: 1, Analyses: 1})
+	body := io.MultiReader(
+		strings.NewReader(`{"files": {"Main.ir": "`),
+		io.LimitReader(filler{}, maxSubmitBytes),
+		strings.NewReader(`"}}`))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: %d %s, want 413", resp.StatusCode, buf.Bytes())
+	}
+	var he httpError
+	if err := json.Unmarshal(buf.Bytes(), &he); err != nil || he.Error == "" {
+		t.Fatalf("413 body %s: %v", buf.Bytes(), err)
+	}
+	if resp, _ := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after oversized submit: %d", resp.StatusCode)
+	}
+}
+
+// filler is an endless stream of 'x' bytes.
+type filler struct{}
+
+func (filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
 }
 
 // TestRetryAfterRoundsUp pins the admission-rejection header contract:

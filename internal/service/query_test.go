@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"flowdroid/internal/appgen"
+	"flowdroid/internal/core"
 	"flowdroid/internal/taint"
 )
 
@@ -57,13 +58,13 @@ func TestHTTPSubmitWithSinkQuery(t *testing.T) {
 		}
 		return sub
 	}
-	result := func(id string) Report {
+	result := func(id string) core.Envelope {
 		t.Helper()
 		resp, body := get(t, ts.URL+"/v1/jobs/"+id+"/result")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("result: %d %s", resp.StatusCode, body)
 		}
-		var rep Report
+		var rep core.Envelope
 		if err := json.Unmarshal(body, &rep); err != nil {
 			t.Fatalf("result body %s: %v", body, err)
 		}

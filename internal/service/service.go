@@ -39,7 +39,6 @@ import (
 
 	"flowdroid/internal/core"
 	"flowdroid/internal/metrics"
-	"flowdroid/internal/summarystore"
 )
 
 // Config tunes a Server. The zero value is usable: every field has a
@@ -62,9 +61,6 @@ type Config struct {
 	// 10m); requests asking for more are clamped, not rejected.
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// DefaultMaxPropagations is the propagation budget applied to
-	// requests that do not set one (0 = unlimited).
-	DefaultMaxPropagations int
 	// BreakerTrip is the number of consecutive Recovered/InvalidProgram/
 	// error outcomes for one app fingerprint that trips its circuit
 	// breaker (default 3; <0 disables the breaker). BreakerCooldown is
@@ -76,26 +72,13 @@ type Config struct {
 	// 1024). The oldest finished jobs are evicted first; queued and
 	// running jobs are never evicted.
 	RetainJobs int
-	// SummaryDir, when non-empty, gives the daemon a persistent
-	// method-summary store shared by every job (see internal/summarystore):
-	// a resubmitted app update replays the summaries of its unchanged
-	// methods instead of re-solving them (warm re-analysis). The store
-	// never changes any job's leak report; its effect shows up in the
-	// summary.store.* metrics and the per-job summary counters.
-	SummaryDir string
-	// DisableStringCarriers turns off the string-carrier fast path for
-	// every job (kill switch; see taint.Config.StringCarriers). The flag
-	// is part of the summary-store config fingerprint, so toggling it
-	// between daemon runs sharing a SummaryDir invalidates cleanly
-	// instead of replaying artifacts from the other mode.
-	DisableStringCarriers bool
-	// DisableReflection turns off the reflection-resolving constant-
-	// propagation pass for every job (kill switch; see
-	// core.Options.ResolveReflection). Like the carrier flag it is part
-	// of the summary-store config fingerprint, so daemons sharing a
-	// SummaryDir across the toggle invalidate cleanly instead of
-	// replaying summaries recorded against the other call graph.
-	DisableReflection bool
+	// Options is the analysis configuration every job starts from (nil =
+	// core.DefaultOptions()). A request's bounds and switches apply on
+	// top, and each job's worker count is its share of WorkerBudget. A
+	// summary store in it is shared by every job, giving warm
+	// re-analysis of resubmitted app updates; it never changes a job's
+	// leak report.
+	Options *core.Options
 	// Recorder receives the service and pipeline metrics. Nil runs the
 	// service unobserved (every instrument no-ops).
 	Recorder *metrics.Recorder
@@ -126,6 +109,10 @@ func (c Config) withDefaults() Config {
 	if c.RetainJobs <= 0 {
 		c.RetainJobs = 1024
 	}
+	if c.Options == nil {
+		opts := core.DefaultOptions()
+		c.Options = &opts
+	}
 	return c
 }
 
@@ -139,7 +126,7 @@ type Request struct {
 	// default, values above the server maximum are clamped.
 	Deadline time.Duration `json:"deadline,omitempty"`
 	// MaxPropagations is the taint propagation budget (0 inherits the
-	// server default).
+	// server's Options.Taint.MaxPropagations).
 	MaxPropagations int `json:"maxPropagations,omitempty"`
 	// Degrade enables the CHA/access-path degradation ladder on budget
 	// exhaustion.
@@ -285,10 +272,6 @@ type Server struct {
 	wg     sync.WaitGroup
 	budget *workerBudget
 	brk    *breaker
-	// store is the shared persistent summary store (nil without
-	// Config.SummaryDir); core scopes sessions by app and configuration
-	// fingerprint, so concurrent jobs share it safely.
-	store *summarystore.Store
 
 	mu       sync.Mutex
 	draining bool
@@ -325,7 +308,6 @@ func New(cfg Config) *Server {
 		queue:     make(chan *job, cfg.QueueSize),
 		budget:    newWorkerBudget(cfg.WorkerBudget, cfg.Analyses),
 		brk:       newBreaker(cfg.BreakerTrip, cfg.BreakerCooldown),
-		store:     summarystore.Open(cfg.SummaryDir),
 		jobs:      make(map[string]*job),
 
 		cSubmitted:     cfg.Recorder.Counter("service.submitted", metrics.Schedule),
@@ -345,9 +327,6 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
-
-// Config returns the server's effective (defaulted) configuration.
-func (s *Server) Config() Config { return s.cfg }
 
 // Submit admits a job or rejects it without buffering. Rejections:
 // ErrDraining once Shutdown started, *CircuitOpenError when the app's
@@ -489,22 +468,20 @@ func (s *Server) runJob(j *job) {
 		hook(ctx, j.id)
 	}
 
-	opts := core.DefaultOptions()
+	opts := *s.cfg.Options
 	opts.Taint.Workers = grant
-	opts.MaxPropagations = j.req.MaxPropagations
-	if opts.MaxPropagations == 0 {
-		opts.MaxPropagations = s.cfg.DefaultMaxPropagations
+	if j.req.MaxPropagations != 0 {
+		opts.Taint.MaxPropagations = j.req.MaxPropagations
 	}
-	opts.Degrade = j.req.Degrade
-	opts.UseCHA = j.req.UseCHA
-	opts.Lint = j.req.Lint
-	opts.Query = core.Query{Sinks: j.req.Sinks}
 	if j.req.APLength > 0 {
 		opts.Taint.APLength = j.req.APLength
 	}
-	opts.Taint.StringCarriers = !s.cfg.DisableStringCarriers
-	opts.ResolveReflection = !s.cfg.DisableReflection
-	opts.SummaryStore = s.store
+	if len(j.req.Sinks) > 0 {
+		opts.Query = core.Query{Sinks: j.req.Sinks}
+	}
+	opts.Degrade = opts.Degrade || j.req.Degrade
+	opts.UseCHA = opts.UseCHA || j.req.UseCHA
+	opts.Lint = opts.Lint || j.req.Lint
 
 	res, err := analyze(ctx, j.req.Files, opts)
 	cancel()

@@ -19,6 +19,7 @@ import (
 	"flowdroid/internal/appgen"
 	"flowdroid/internal/core"
 	"flowdroid/internal/metrics"
+	"flowdroid/internal/summarystore"
 )
 
 // TestServiceSoak is the deterministic soak: concurrent clients push a
@@ -251,6 +252,17 @@ func submitAndWait(t *testing.T, ts *httptest.Server, s *Server, files map[strin
 	return compact.Bytes()
 }
 
+// storeOptions is core.DefaultOptions with a summary store rooted at
+// dir, further changed by set when non-nil.
+func storeOptions(dir string, set func(*core.Options)) *core.Options {
+	opts := core.DefaultOptions()
+	opts.SummaryStore = summarystore.Open(dir)
+	if set != nil {
+		set(&opts)
+	}
+	return &opts
+}
+
 // oneShotLeaks is the oracle: a store-less one-shot core run's canonical
 // leaks, compacted the same way the service endpoint's are.
 func oneShotLeaks(t *testing.T, files map[string]string) []byte {
@@ -299,7 +311,7 @@ func TestServiceWarmResubmit(t *testing.T) {
 				Analyses:     2,
 				WorkerBudget: budget,
 				Recorder:     rec,
-				SummaryDir:   t.TempDir(),
+				Options:      storeOptions(t.TempDir(), nil),
 			})
 			ts := httptest.NewServer(s.Handler(false))
 			defer ts.Close()
@@ -335,7 +347,7 @@ func TestServiceWarmStoreCorruption(t *testing.T) {
 	apps := appgen.GenerateCorpus(appgen.Play, 3, 11)
 	dir := t.TempDir()
 
-	cold := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, SummaryDir: dir})
+	cold := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, Options: storeOptions(dir, nil)})
 	tsCold := httptest.NewServer(cold.Handler(false))
 	for i := range apps {
 		submitAndWait(t, tsCold, cold, apps[i].Files)
@@ -375,7 +387,7 @@ func TestServiceWarmStoreCorruption(t *testing.T) {
 	}
 
 	rec := metrics.New()
-	warm := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, SummaryDir: dir, Recorder: rec})
+	warm := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, Options: storeOptions(dir, nil), Recorder: rec})
 	tsWarm := httptest.NewServer(warm.Handler(false))
 	defer tsWarm.Close()
 	for i := range apps {
@@ -411,7 +423,7 @@ func TestServiceCarrierToggleInvalidatesStore(t *testing.T) {
 	dir := t.TempDir()
 
 	// Round 1: cold, carriers on (the default), populating the store.
-	on := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, SummaryDir: dir})
+	on := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, Options: storeOptions(dir, nil)})
 	tsOn := httptest.NewServer(on.Handler(false))
 	want := submitAndWait(t, tsOn, on, app.Files)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -425,8 +437,8 @@ func TestServiceCarrierToggleInvalidatesStore(t *testing.T) {
 	// submission must run fully cold (zero hits) yet report the same
 	// leaks — the carrier fast path is report-neutral.
 	rec := metrics.New()
-	off := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, SummaryDir: dir,
-		DisableStringCarriers: true, Recorder: rec})
+	off := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, Recorder: rec,
+		Options: storeOptions(dir, func(o *core.Options) { o.Taint.StringCarriers = false })})
 	tsOff := httptest.NewServer(off.Handler(false))
 	defer tsOff.Close()
 	if got := submitAndWait(t, tsOff, off, app.Files); !bytes.Equal(got, want) {
@@ -463,7 +475,7 @@ func TestServiceReflectionToggleInvalidatesStore(t *testing.T) {
 	dir := t.TempDir()
 
 	// Round 1: cold, reflection on (the default), populating the store.
-	on := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, SummaryDir: dir})
+	on := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, Options: storeOptions(dir, nil)})
 	tsOn := httptest.NewServer(on.Handler(false))
 	want := submitAndWait(t, tsOn, on, app.Files)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -477,8 +489,8 @@ func TestServiceReflectionToggleInvalidatesStore(t *testing.T) {
 	// the submission must run fully cold (zero hits) yet report the same
 	// leaks — this app has no reflective sites for the pass to matter on.
 	rec := metrics.New()
-	off := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, SummaryDir: dir,
-		DisableReflection: true, Recorder: rec})
+	off := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, Recorder: rec,
+		Options: storeOptions(dir, func(o *core.Options) { o.ResolveReflection = false })})
 	tsOff := httptest.NewServer(off.Handler(false))
 	defer tsOff.Close()
 	if got := submitAndWait(t, tsOff, off, app.Files); !bytes.Equal(got, want) {

@@ -12,7 +12,8 @@ import (
 )
 
 // Config tunes the taint engine. The zero value is not valid; use
-// DefaultConfig.
+// DefaultConfig. The fingerprint tags leave a field out of the summary
+// store's configuration key (see internal/core/fingerprint.go).
 type Config struct {
 	// APLength is the maximal access-path length (the paper's default is
 	// 5). Shorter paths widen taints and trade precision for speed.
@@ -56,7 +57,7 @@ type Config struct {
 	// MaxLeaks aborts after this many distinct leaks (0 = unlimited). A
 	// capped run ends with Status == LeakLimitReached so it is
 	// distinguishable from an exhaustive one.
-	MaxLeaks int
+	MaxLeaks int `fingerprint:"schedule"`
 	// MaxPropagations bounds the solver's novel path-edge insertions
 	// (forward plus backward); duplicates the jump tables absorb are
 	// free. 0 is unlimited. When the budget runs out the analysis stops
@@ -64,7 +65,7 @@ type Config struct {
 	// With Workers > 1, workers already past the abort check may each
 	// record one final insertion, so Stats.Propagations can exceed the
 	// budget by at most Workers-1.
-	MaxPropagations int
+	MaxPropagations int `fingerprint:"schedule"`
 	// Cone, when non-nil, is the demand-driven query cone: the solver
 	// prunes zero-fact exploration at its boundary (descending the zero
 	// fact into a callee for which Relevant is false cannot contribute a
@@ -74,7 +75,7 @@ type Config struct {
 	// and return. The Cone is fingerprint-neutral like the rest of the
 	// taint configuration — it changes how much the solver explores,
 	// never which upstream artifact it runs on.
-	Cone *Cone
+	Cone *Cone `fingerprint:"schedule"`
 	// Summaries, when non-nil, is a persistent method-summary session
 	// (see internal/summarystore): the solver consults it once per
 	// method context, replays stored end summaries and subtree leaks on
@@ -84,7 +85,7 @@ type Config struct {
 	// changes transfer-function behaviour must be part of that scope.
 	// Like the Cone it never changes the leak report, only how much of
 	// it is recomputed.
-	Summaries Summaries
+	Summaries Summaries `fingerprint:"deployment"`
 	// Workers is the solver worker-pool size. Values <= 1 drain the work
 	// queue sequentially on the calling goroutine; higher values run that
 	// many concurrent workers over the shared queue. For runs that reach
@@ -94,7 +95,7 @@ type Config struct {
 	// differ. A truncated run (budget, leak cap, cancellation) stops at a
 	// schedule-dependent frontier, so its partial leak set and counters
 	// may vary across worker counts.
-	Workers int
+	Workers int `fingerprint:"schedule"`
 }
 
 // Cone is the solver's view of the reachability-cone pass (built in

@@ -13,10 +13,11 @@ import (
 	"flowdroid/internal/sourcesink"
 )
 
-// engine holds the two cooperating IFDS solvers. Both operate on path
-// edges ⟨sp, d1⟩ → ⟨n, d2⟩ (d1 is the context fact at the start point of
-// n's method); the forward solver implements Algorithm 1 of the paper,
-// the backward alias solver Algorithm 2. The handover discipline:
+// engine holds the two cooperating IFDS solvers; it stands in for Heros,
+// the IFDS framework FlowDroid builds on. Both operate on path edges
+// ⟨sp, d1⟩ → ⟨n, d2⟩ (d1 is the context fact at the start point of n's
+// method); the forward solver implements Algorithm 1 of the paper, the
+// backward alias solver Algorithm 2. The handover discipline:
 //
 //   - Forward, at a heap write that creates a new taint: spawn the
 //     backward solver with the *same path edge context* (context

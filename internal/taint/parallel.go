@@ -14,12 +14,11 @@ import (
 
 // This file holds the concurrency machinery of the bidirectional engine:
 // the shared counting-tracked work queue both solvers feed, the striped
-// path-edge tables, and the worker pool. The design mirrors
-// internal/ifds/parallel.go (the generic Heros-style parallel solver):
-// path-edge processing is independent work, the jump tables, incoming
-// sets and summaries are shared state, and the exploded-graph closure is
-// confluent — every schedule computes the same fact sets, only the
-// discovery order differs.
+// path-edge tables, and the worker pool. The design follows Heros'
+// parallel IFDS solver: path-edge processing is independent work, the
+// jump tables, incoming sets and summaries are shared state, and the
+// exploded-graph closure is confluent — every schedule computes the same
+// fact sets, only the discovery order differs.
 
 // task is one queued path-edge processing step, tagged with the solver
 // direction it belongs to. Forward and backward items share one queue so

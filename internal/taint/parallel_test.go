@@ -31,8 +31,7 @@ func mainStmts(t *testing.T, src string) []ir.Stmt {
 
 // TestDuplicateEdgeConsumesNoBudget is the regression test for the budget
 // accounting fix: re-propagating a path edge the jump table already holds
-// must not charge MaxPropagations (matching ifds.Solver.propagate, which
-// counts novel insertions only).
+// must not charge MaxPropagations, which counts novel insertions only.
 func TestDuplicateEdgeConsumesNoBudget(t *testing.T) {
 	stmts := mainStmts(t, manyLeaks)
 	e := newEngine(nil, nil, Config{APLength: 5, MaxPropagations: 100})

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"flowdroid/internal/appgen"
+	"flowdroid/internal/core"
 	"flowdroid/internal/service"
 )
 
@@ -144,7 +145,7 @@ func run() error {
 	}
 
 	// Fetch the result and check the leak count against ground truth.
-	var rep service.Report
+	var rep core.Envelope
 	if st, body, err := getJSON(base+"/v1/jobs/"+sub.ID+"/result", &rep); err != nil || st != http.StatusOK {
 		return fmt.Errorf("result: status %d, %v, %s", st, err, body)
 	}

@@ -14,6 +14,9 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+echo "==> perfbench: go vet + go build (its own module, outside ./...)"
+(cd perfbench && go vet ./... && go build -o /dev/null ./...)
+
 echo "==> go test -race ./..."
 go test -race ./...
 
