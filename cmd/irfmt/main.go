@@ -50,10 +50,6 @@ func run(path string, write, check bool) error {
 		return err
 	}
 	prog := framework.NewProgram()
-	frameworkClasses := make(map[string]bool)
-	for _, c := range prog.Classes() {
-		frameworkClasses[c.Name] = true
-	}
 	if err := irtext.ParseInto(prog, string(data), path); err != nil {
 		return err
 	}
@@ -65,7 +61,7 @@ func run(path string, write, check bool) error {
 	}
 	var sb strings.Builder
 	for _, c := range prog.Classes() {
-		if frameworkClasses[c.Name] {
+		if c.Shared() { // a framework stub, not part of the file
 			continue
 		}
 		sb.WriteString(ir.PrintClass(c))

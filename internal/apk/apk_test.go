@@ -223,3 +223,59 @@ func TestManifestErrors(t *testing.T) {
 		t.Error("component without name should fail")
 	}
 }
+
+// TestResourceRefPositions loads one app per operand position a resource
+// constant can take. Every position ResolveConstants resolves must also
+// register the @id/ name, or the load fails with "references undefined
+// resource".
+func TestResourceRefPositions(t *testing.T) {
+	body := func(m *ir.Method, i int) ir.Stmt { return m.Body()[i] }
+	cases := []struct {
+		name string
+		code string
+		get  func(m *ir.Method) ir.Value
+	}{
+		{"assign", "v = @id/x\n return v", func(m *ir.Method) ir.Value {
+			return body(m, 0).(*ir.AssignStmt).RHS
+		}},
+		{"call argument", "v = this.findViewById(@id/x)\n return 0", func(m *ir.Method) ir.Value {
+			return body(m, 0).(*ir.AssignStmt).RHS.(*ir.InvokeExpr).Args[0]
+		}},
+		{"return", "return @id/x", func(m *ir.Method) ir.Value {
+			return body(m, 0).(*ir.ReturnStmt).Value
+		}},
+		{"binop", "v = @id/x + 1\n return v", func(m *ir.Method) ir.Value {
+			return body(m, 0).(*ir.AssignStmt).RHS.(*ir.Binop).L
+		}},
+		{"array store index", "a = newarray int\n a[@id/x] = 1\n return 0", func(m *ir.Method) ir.Value {
+			return body(m, 1).(*ir.AssignStmt).LHS.(*ir.ArrayRef).Index
+		}},
+		{"array load index", "a = newarray int\n v = a[@id/x]\n return v", func(m *ir.Method) ir.Value {
+			return body(m, 1).(*ir.AssignStmt).RHS.(*ir.ArrayRef).Index
+		}},
+		{"cast operand", "v = (java.lang.Object) @id/x\n return 0", func(m *ir.Method) ir.Value {
+			return body(m, 0).(*ir.AssignStmt).RHS.(*ir.Cast).X
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			app, err := LoadFiles(map[string]string{
+				"AndroidManifest.xml": `<manifest package="r"><application>
+					<activity android:name=".Main"/></application></manifest>`,
+				"c.ir": "class r.Main extends android.app.Activity {\n method id(): int {\n " +
+					c.code + "\n }\n}\n",
+			})
+			if err != nil {
+				t.Fatalf("LoadFiles: %v", err)
+			}
+			want, ok := app.Res.Lookup("id/x")
+			if !ok {
+				t.Fatal("id/x not in resource table")
+			}
+			got, ok := ConstID(c.get(app.Program.Class("r.Main").Method("id", 0)))
+			if !ok || got != want {
+				t.Errorf("@id/x resolved to %d (%v), want %d", got, ok, want)
+			}
+		})
+	}
+}

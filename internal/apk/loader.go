@@ -118,30 +118,7 @@ func Load(fsys fs.FS) (*App, error) {
 // collectResRefs gathers all symbolic resource names referenced from code.
 func collectResRefs(prog *ir.Program) []string {
 	seen := make(map[string]bool)
-	add := func(v ir.Value) {
-		if c, ok := v.(*ir.Const); ok && c.Kind == ir.ResConst && !seen[c.Str] {
-			seen[c.Str] = true
-		}
-	}
-	for _, cls := range prog.Classes() {
-		for _, m := range cls.Methods() {
-			for _, s := range m.Body() {
-				switch s := s.(type) {
-				case *ir.AssignStmt:
-					add(s.RHS)
-					if call, ok := s.RHS.(*ir.InvokeExpr); ok {
-						for _, a := range call.Args {
-							add(a)
-						}
-					}
-				case *ir.InvokeStmt:
-					for _, a := range s.Call.Args {
-						add(a)
-					}
-				}
-			}
-		}
-	}
+	resConsts(prog, func(c *ir.Const, _ *ir.Method) { seen[c.Str] = true })
 	out := make([]string, 0, len(seen))
 	for n := range seen {
 		out = append(out, n)

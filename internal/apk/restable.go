@@ -62,11 +62,7 @@ func (t *ResTable) NameOf(id int64) (string, bool) {
 // does not define.
 func (t *ResTable) ResolveConstants(prog *ir.Program) error {
 	var firstErr error
-	resolve := func(v ir.Value, m *ir.Method) {
-		c, ok := v.(*ir.Const)
-		if !ok || c.Kind != ir.ResConst {
-			return
-		}
+	resConsts(prog, func(c *ir.Const, m *ir.Method) {
 		id, found := t.Lookup(c.Str)
 		if !found {
 			if firstErr == nil {
@@ -75,41 +71,57 @@ func (t *ResTable) ResolveConstants(prog *ir.Program) error {
 			return
 		}
 		c.Int = id
+	})
+	return firstErr
+}
+
+// resConsts calls visit for every resource constant operand in the method
+// bodies of prog's unshared classes (shared classes are read-only and have
+// no app code). It looks in every operand position: both sides of an
+// assignment, binop, cast and array-index operands, invocation arguments
+// and return values. Registering the names code uses (collectResRefs) and
+// resolving them (ResolveConstants) both walk through here, so every name
+// that is resolved has been registered.
+func resConsts(prog *ir.Program, visit func(c *ir.Const, m *ir.Method)) {
+	var m *ir.Method
+	var walk func(v ir.Value)
+	walk = func(v ir.Value) {
+		switch v := v.(type) {
+		case *ir.Const:
+			if v.Kind == ir.ResConst {
+				visit(v, m)
+			}
+		case *ir.Binop:
+			walk(v.L)
+			walk(v.R)
+		case *ir.Cast:
+			walk(v.X)
+		case *ir.ArrayRef:
+			walk(v.Index)
+		case *ir.InvokeExpr:
+			for _, a := range v.Args {
+				walk(a)
+			}
+		}
 	}
 	for _, cls := range prog.Classes() {
-		for _, m := range cls.Methods() {
+		if cls.Shared() {
+			continue
+		}
+		for _, m = range cls.Methods() {
 			for _, s := range m.Body() {
 				switch s := s.(type) {
 				case *ir.AssignStmt:
-					resolve(s.RHS, m)
-					if call, ok := s.RHS.(*ir.InvokeExpr); ok {
-						for _, a := range call.Args {
-							resolve(a, m)
-						}
-					}
-					if b, ok := s.RHS.(*ir.Binop); ok {
-						resolve(b.L, m)
-						resolve(b.R, m)
-					}
-					if ar, ok := s.RHS.(*ir.ArrayRef); ok {
-						resolve(ar.Index, m)
-					}
-					if ar, ok := s.LHS.(*ir.ArrayRef); ok {
-						resolve(ar.Index, m)
-					}
+					walk(s.RHS)
+					walk(s.LHS)
 				case *ir.InvokeStmt:
-					for _, a := range s.Call.Args {
-						resolve(a, m)
-					}
+					walk(s.Call)
 				case *ir.ReturnStmt:
-					if s.Value != nil {
-						resolve(s.Value, m)
-					}
+					walk(s.Value)
 				}
 			}
 		}
 	}
-	return firstErr
 }
 
 // ConstID returns the resolved integer value of a constant operand, or

@@ -10,6 +10,7 @@ package framework
 
 import (
 	"fmt"
+	"sync"
 
 	"flowdroid/internal/ir"
 	"flowdroid/internal/irtext"
@@ -192,18 +193,26 @@ func IsOverridableMethod(name string, nargs int) bool {
 }
 
 // NewProgram returns a fresh program preloaded with the framework model.
+// The framework classes are parsed and linked once per process and
+// shared, frozen, by every program NewProgram returns: classes the caller
+// adds stay private to its program, while the framework classes are
+// read-only (see ir.Program.Freeze). Call prog.Link() after adding the
+// app classes.
 func NewProgram() *ir.Program {
-	prog := ir.NewProgram()
-	if err := AddTo(prog); err != nil {
-		// The framework source is a compile-time constant; failing to
-		// parse it is a programming error in this package.
-		panic(fmt.Sprintf("framework: %v", err))
-	}
-	return prog
+	return frozen().Fork()
 }
 
-// AddTo parses the framework stubs into an existing program. Call
-// prog.Link() after adding the app classes.
-func AddTo(prog *ir.Program) error {
-	return irtext.ParseInto(prog, stubSource, "framework.ir")
-}
+// frozen builds the shared framework program on first use. The framework
+// source is a compile-time constant, so failing to parse or link it is a
+// programming error in this package.
+var frozen = sync.OnceValue(func() *ir.Program {
+	prog := ir.NewProgram()
+	if err := irtext.ParseInto(prog, stubSource, "framework.ir"); err != nil {
+		panic(fmt.Sprintf("framework: %v", err))
+	}
+	if err := prog.Link(); err != nil {
+		panic(fmt.Sprintf("framework: %v", err))
+	}
+	prog.Freeze()
+	return prog
+})

@@ -35,6 +35,7 @@ type Class struct {
 
 	fields  map[string]*Field
 	methods map[methodKey]*Method
+	shared  bool
 }
 
 type methodKey struct {
@@ -52,8 +53,17 @@ func NewClass(name, super string) *Class {
 	}
 }
 
-// AddField declares a field; it returns an error if the name is taken.
+// Shared reports whether the class belongs to a frozen program that
+// several programs share (see Program.Freeze). A shared class is
+// read-only.
+func (c *Class) Shared() bool { return c.shared }
+
+// AddField declares a field; it returns an error if the name is taken or
+// the class is shared.
 func (c *Class) AddField(name string, typ Type, static bool) (*Field, error) {
+	if c.shared {
+		return nil, fmt.Errorf("class %s: cannot add field %s to a shared class", c.Name, name)
+	}
 	if _, dup := c.fields[name]; dup {
 		return nil, fmt.Errorf("class %s: duplicate field %s", c.Name, name)
 	}
@@ -76,8 +86,11 @@ func (c *Class) Fields() []*Field {
 }
 
 // AddMethod attaches a method; it returns an error on duplicate
-// (name, arity) pairs.
+// (name, arity) pairs or if the class is shared.
 func (c *Class) AddMethod(m *Method) error {
+	if c.shared {
+		return fmt.Errorf("class %s: cannot add method %s/%d to a shared class", c.Name, m.Name, len(m.Params))
+	}
 	k := methodKey{m.Name, len(m.Params)}
 	if _, dup := c.methods[k]; dup {
 		return fmt.Errorf("class %s: duplicate method %s/%d", c.Name, m.Name, len(m.Params))

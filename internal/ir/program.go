@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -15,6 +16,25 @@ type Program struct {
 // NewProgram returns an empty program.
 func NewProgram() *Program {
 	return &Program{classes: make(map[string]*Class)}
+}
+
+// Freeze marks every class of p as shared, so that forks of p can use
+// them read-only: AddField and AddMethod fail on a shared class, and Link
+// leaves shared classes alone. Link p before freezing it. Freeze must run
+// before p is forked or published to other goroutines; it is not safe to
+// call concurrently with any use of p.
+func (p *Program) Freeze() {
+	for _, c := range p.classes {
+		c.shared = true
+	}
+}
+
+// Fork returns a new program that starts with p's classes. The class map
+// is copied, so a class added to the fork is invisible to p and to every
+// other fork; the classes themselves are the same pointers, so p should
+// be frozen first.
+func (p *Program) Fork() *Program {
+	return &Program{classes: maps.Clone(p.classes)}
 }
 
 // AddClass registers a class; it returns an error on duplicate names.
@@ -140,15 +160,22 @@ func (p *Program) ResolveField(class, name string) *Field {
 // runs local type inference to a fixed point, and resolves all field
 // references to their declarations. It must be called after all classes
 // have been added and before any analysis runs. Linking is idempotent.
+//
+// Shared classes (see Freeze) are skipped. They were linked before they
+// were frozen, and a shared class must not depend on classes added to a
+// fork (the framework stubs are bodyless), so linking them again would
+// change nothing. Lookups still see them.
 func (p *Program) Link() error {
-	for _, c := range p.Classes() {
-		for _, m := range c.Methods() {
-			if m.This != nil && m.This.Type.IsUnknown() {
-				m.This.Type = Ref(c.Name)
-			}
-			if err := m.Finalize(); err != nil {
-				return err
-			}
+	var methods []*Method
+	for _, c := range p.unsharedClasses() {
+		methods = append(methods, c.Methods()...)
+	}
+	for _, m := range methods {
+		if m.This != nil && m.This.Type.IsUnknown() {
+			m.This.Type = Ref(m.Class.Name)
+		}
+		if err := m.Finalize(); err != nil {
+			return err
 		}
 	}
 	// Local type inference: propagate types through copies, allocations,
@@ -157,23 +184,31 @@ func (p *Program) Link() error {
 	// never correctness (callers fall back to name-based CHA).
 	for changed := true; changed; {
 		changed = false
-		for _, c := range p.Classes() {
-			for _, m := range c.Methods() {
-				if p.inferMethod(m) {
-					changed = true
-				}
+		for _, m := range methods {
+			if p.inferMethod(m) {
+				changed = true
 			}
 		}
 	}
 	// Field resolution.
-	for _, c := range p.Classes() {
-		for _, m := range c.Methods() {
-			if err := p.resolveFields(m); err != nil {
-				return err
-			}
+	for _, m := range methods {
+		if err := p.resolveFields(m); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// unsharedClasses returns the classes Link processes, in name order.
+func (p *Program) unsharedClasses() []*Class {
+	var out []*Class
+	for _, c := range p.classes {
+		if !c.shared {
+			out = append(out, c)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 func (p *Program) inferMethod(m *Method) bool {

@@ -17,6 +17,9 @@ go build ./...
 echo "==> perfbench: go vet + go build (its own module, outside ./...)"
 (cd perfbench && go vet ./... && go build -o /dev/null ./...)
 
+echo "==> perfbench selftest (every workload once, traced and untraced, with ground-truth and replay-fidelity checks)"
+python3 perfbench/run.py --selftest
+
 echo "==> go test -race ./..."
 go test -race ./...
 
