@@ -225,7 +225,7 @@ func TestManifestErrors(t *testing.T) {
 }
 
 // TestResourceRefPositions loads one app per operand position a resource
-// constant can take. Every position ResolveConstants resolves must also
+// constant can take. Every position the loader resolves must also
 // register the @id/ name, or the load fails with "references undefined
 // resource".
 func TestResourceRefPositions(t *testing.T) {

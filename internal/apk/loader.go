@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"flowdroid/internal/framework"
-	"flowdroid/internal/ir"
 	"flowdroid/internal/irtext"
 )
 
@@ -74,11 +73,11 @@ func Load(fsys fs.FS) (*App, error) {
 
 	prog := framework.NewProgram()
 	for _, p := range irFiles {
-		data, err := fs.ReadFile(fsys, p)
+		src, err := readSource(fsys, p)
 		if err != nil {
 			return nil, fmt.Errorf("apk: reading %s: %w", p, err)
 		}
-		if err := irtext.ParseInto(prog, string(data), p); err != nil {
+		if err := irtext.ParseInto(prog, src, p); err != nil {
 			return nil, err
 		}
 	}
@@ -96,8 +95,11 @@ func Load(fsys fs.FS) (*App, error) {
 			}
 		}
 	}
-	for _, name := range collectResRefs(prog) {
-		if rest, ok := strings.CutPrefix(name, "id/"); ok {
+	refs := resRefs(prog)
+	seen := make(map[string]bool)
+	for _, r := range refs {
+		if rest, ok := strings.CutPrefix(r.c.Str, "id/"); ok && !seen[rest] {
+			seen[rest] = true
 			ids = append(ids, rest)
 		}
 	}
@@ -106,7 +108,7 @@ func Load(fsys fs.FS) (*App, error) {
 	if err := prog.Link(); err != nil {
 		return nil, fmt.Errorf("apk: linking %s: %w", app.Package, err)
 	}
-	if err := app.Res.ResolveConstants(prog); err != nil {
+	if err := app.Res.resolve(refs); err != nil {
 		return nil, err
 	}
 	if err := app.Validate(); err != nil {
@@ -115,16 +117,20 @@ func Load(fsys fs.FS) (*App, error) {
 	return app, nil
 }
 
-// collectResRefs gathers all symbolic resource names referenced from code.
-func collectResRefs(prog *ir.Program) []string {
-	seen := make(map[string]bool)
-	resConsts(prog, func(c *ir.Const, _ *ir.Method) { seen[c.Str] = true })
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
+// stringFS is a file system that holds its files as strings (memFS).
+type stringFS interface {
+	readString(name string) (string, error)
+}
+
+// readSource returns the contents of a file as a string. A stringFS hands
+// over its string as is; any other file system is read through
+// fs.ReadFile.
+func readSource(fsys fs.FS, name string) (string, error) {
+	if s, ok := fsys.(stringFS); ok {
+		return s.readString(name)
 	}
-	sort.Strings(out)
-	return out
+	data, err := fs.ReadFile(fsys, name)
+	return string(data), err
 }
 
 // LoadDir loads an app package from a directory.
@@ -152,6 +158,14 @@ func LoadFiles(files map[string]string) (*App, error) {
 // memFS is a minimal read-only fs.FS over a map, sufficient for Load's
 // ReadFile and WalkDir usage.
 type memFS map[string]string
+
+// readString hands Load a file's contents without copying them.
+func (m memFS) readString(name string) (string, error) {
+	if data, ok := m[name]; ok {
+		return data, nil
+	}
+	return "", &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
+}
 
 func (m memFS) Open(name string) (fs.File, error) {
 	if name == "." {

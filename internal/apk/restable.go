@@ -56,40 +56,47 @@ func (t *ResTable) NameOf(id int64) (string, bool) {
 	return n, ok
 }
 
-// ResolveConstants walks all statements of the app's classes and resolves
-// symbolic resource constants (@id/..., @layout/...) to their integer IDs.
-// Unknown names are an error: the code references a resource the package
-// does not define.
-func (t *ResTable) ResolveConstants(prog *ir.Program) error {
+// resRef is a resource constant operand and the method whose body holds
+// it.
+type resRef struct {
+	c *ir.Const
+	m *ir.Method
+}
+
+// resolve sets every resource constant in refs to its integer ID. Unknown
+// names are an error: the code references a resource the package does not
+// define.
+func (t *ResTable) resolve(refs []resRef) error {
 	var firstErr error
-	resConsts(prog, func(c *ir.Const, m *ir.Method) {
-		id, found := t.Lookup(c.Str)
+	for _, r := range refs {
+		id, found := t.Lookup(r.c.Str)
 		if !found {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("apk: %s references undefined resource @%s", m, c.Str)
+				firstErr = fmt.Errorf("apk: %s references undefined resource @%s", r.m, r.c.Str)
 			}
-			return
+			continue
 		}
-		c.Int = id
-	})
+		r.c.Int = id
+	}
 	return firstErr
 }
 
-// resConsts calls visit for every resource constant operand in the method
-// bodies of prog's unshared classes (shared classes are read-only and have
-// no app code). It looks in every operand position: both sides of an
-// assignment, binop, cast and array-index operands, invocation arguments
-// and return values. Registering the names code uses (collectResRefs) and
-// resolving them (ResolveConstants) both walk through here, so every name
-// that is resolved has been registered.
-func resConsts(prog *ir.Program, visit func(c *ir.Const, m *ir.Method)) {
+// resRefs returns every resource constant operand in the method bodies
+// of prog's unshared classes (shared classes are read-only and have no
+// app code), in class, method and statement order. It looks in every
+// operand position: both sides of an assignment, binop, cast and
+// array-index operands, invocation arguments and return values. The
+// loader registers the names and resolves the constants from this one
+// list, so every name that is resolved has been registered.
+func resRefs(prog *ir.Program) []resRef {
+	var out []resRef
 	var m *ir.Method
 	var walk func(v ir.Value)
 	walk = func(v ir.Value) {
 		switch v := v.(type) {
 		case *ir.Const:
 			if v.Kind == ir.ResConst {
-				visit(v, m)
+				out = append(out, resRef{v, m})
 			}
 		case *ir.Binop:
 			walk(v.L)
@@ -122,6 +129,7 @@ func resConsts(prog *ir.Program, visit func(c *ir.Const, m *ir.Method)) {
 			}
 		}
 	}
+	return out
 }
 
 // ConstID returns the resolved integer value of a constant operand, or

@@ -30,17 +30,19 @@ import (
 
 const fixturesGolden = "testdata/fixtures.golden"
 
-// fixture is one shipped program: a name and a loader for its linked
-// program. all asks for the shared (framework) classes to be digested
-// too; otherwise only the program's own classes are.
+// fixture is one shipped program: a name, a loader for its linked
+// program and the program's own .ir sources by file name. all asks for
+// the shared (framework) classes to be digested too; otherwise only the
+// program's own classes are.
 type fixture struct {
-	name string
-	load func() (*ir.Program, error)
-	all  bool
+	name  string
+	load  func() (*ir.Program, error)
+	files map[string]string
+	all   bool
 }
 
 func appFixture(name string, files map[string]string) fixture {
-	return fixture{name: name, load: func() (*ir.Program, error) {
+	return fixture{name: name, files: files, load: func() (*ir.Program, error) {
 		app, err := apk.LoadFiles(files)
 		if err != nil {
 			return nil, err
@@ -77,10 +79,11 @@ func shippedFixtures() []fixture {
 		out = append(out, appFixture("droidbench-extra/"+c.Name, c.Files))
 	}
 	for _, c := range securibench.Cases() {
-		c := c
-		out = append(out, fixture{name: "securibench/" + c.Name, load: func() (*ir.Program, error) {
-			return securibench.Program(c)
-		}})
+		out = append(out, fixture{
+			name:  "securibench/" + c.Name,
+			files: map[string]string{c.Name + ".ir": c.Source},
+			load:  func() (*ir.Program, error) { return securibench.Program(c) },
+		})
 	}
 	for _, p := range []struct {
 		name    string

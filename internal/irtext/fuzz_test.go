@@ -1,10 +1,11 @@
 package irtext_test
 
 import (
-	"sort"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"flowdroid/internal/appgen"
 	"flowdroid/internal/insecurebank"
 	"flowdroid/internal/irtext"
 )
@@ -12,23 +13,16 @@ import (
 // FuzzParse feeds the IR parser arbitrary source text. Malformed input
 // must come back as an error — never a panic — and successful parses must
 // produce a program. The corpus is seeded with the real InsecureBank
-// sources plus truncated and corrupted variants of them, the shapes a
-// damaged app package would present.
+// sources and the code of an appgen Stress app, plus truncated and
+// corrupted variants of them, the shapes a damaged app package would
+// present.
 func FuzzParse(f *testing.F) {
-	var irSources []string
-	var names []string
-	for name := range insecurebank.Files {
-		if strings.HasSuffix(name, ".ir") {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		irSources = append(irSources, insecurebank.Files[name])
-	}
+	_, irSources := irFiles(insecurebank.Files)
 	if len(irSources) == 0 {
 		f.Fatal("insecurebank has no .ir sources to seed from")
 	}
+	_, stress := irFiles(appgen.Generate(rand.New(rand.NewSource(1)), appgen.Stress, 0).Files)
+	irSources = append(irSources, stress...)
 	for _, src := range irSources {
 		f.Add(src)
 		f.Add(src[:len(src)/2])                                // truncated mid-file

@@ -34,26 +34,32 @@ const (
 	tokRes   // @id/name or @layout/name
 	tokPunct // single punctuation: { } ( ) [ ] : , = ; .
 	tokOp    // + - * / % binary operators (also '*' for opaque conditions)
-	tokArrow // -> (used by config files sharing this lexer)
 )
 
+// token is one lexeme. Its text is a substring of the source starting at
+// byte offset pos, with one exception: a string literal containing an
+// escape sequence carries its decoded value in a freshly built string.
 type token struct {
 	kind tokenKind
 	text string
 	num  int64
 	line int
+	pos  int
 }
 
 func (t token) String() string {
-	switch t.kind {
-	case tokEOF:
+	if t.kind == tokEOF {
 		return "end of file"
-	case tokString:
-		return fmt.Sprintf("%q", t.text)
-	default:
-		return fmt.Sprintf("%q", t.text)
 	}
+	return fmt.Sprintf("%q", t.text)
 }
+
+// Single-byte punctuation and operators; a token's text is sliced from
+// these rather than converted from its byte.
+const (
+	punctChars = "{}()[]:,=;."
+	opChars    = "+-*/%&|^"
+)
 
 // lexer turns source text into tokens. It is shared by the IR parser and
 // kept deliberately simple: one-pass, no backtracking, line tracking for
@@ -81,8 +87,27 @@ func isIdentPart(r byte) bool {
 	return isIdentStart(r) || r >= '0' && r <= '9'
 }
 
-// next returns the next token, skipping whitespace and // comments.
-func (l *lexer) next() (token, error) {
+// identClass classifies every byte value by the two predicates above, so
+// the lexer's inner loops index a table instead of calling them.
+var identClass = func() (t [256]uint8) {
+	for b := range t {
+		if isIdentStart(byte(b)) {
+			t[b] |= identStart
+		}
+		if isIdentPart(byte(b)) {
+			t[b] |= identPart
+		}
+	}
+	return t
+}()
+
+const (
+	identStart = 1 << iota
+	identPart
+)
+
+// scan fills t with the next token, skipping whitespace and // comments.
+func (l *lexer) scan(t *token) error {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -99,17 +124,20 @@ func (l *lexer) next() (token, error) {
 			goto scan
 		}
 	}
-	return token{kind: tokEOF, line: l.line}, nil
+	*t = token{kind: tokEOF, line: l.line, pos: l.pos}
+	return nil
 
 scan:
 	start, line := l.pos, l.line
 	c := l.src[l.pos]
 	switch {
-	case isIdentStart(c):
-		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
+	case identClass[c]&identStart != 0:
+		l.pos++
+		for l.pos < len(l.src) && identClass[l.src[l.pos]]&identPart != 0 {
 			l.pos++
 		}
-		return token{kind: tokIdent, text: l.src[start:l.pos], line: line}, nil
+		*t = token{kind: tokIdent, text: l.src[start:l.pos], line: line, pos: start}
+		return nil
 
 	case c >= '0' && c <= '9' || c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 		l.pos++
@@ -118,60 +146,82 @@ scan:
 		}
 		n, err := strconv.ParseInt(l.src[start:l.pos], 10, 64)
 		if err != nil {
-			return token{}, l.errf(line, "bad integer literal %q", l.src[start:l.pos])
+			return l.errf(line, "bad integer literal %q", l.src[start:l.pos])
 		}
-		return token{kind: tokInt, text: l.src[start:l.pos], num: n, line: line}, nil
+		*t = token{kind: tokInt, text: l.src[start:l.pos], num: n, line: line, pos: start}
+		return nil
 
 	case c == '"':
 		l.pos++
-		var sb strings.Builder
-		for l.pos < len(l.src) && l.src[l.pos] != '"' {
-			ch := l.src[l.pos]
-			if ch == '\\' && l.pos+1 < len(l.src) {
-				l.pos++
-				switch l.src[l.pos] {
-				case 'n':
-					ch = '\n'
-				case 't':
-					ch = '\t'
-				default:
-					ch = l.src[l.pos]
-				}
-			}
-			if ch == '\n' {
-				return token{}, l.errf(line, "unterminated string literal")
-			}
-			sb.WriteByte(ch)
-			l.pos++
+		end := l.pos
+		for end < len(l.src) && l.src[end] != '"' && l.src[end] != '\\' && l.src[end] != '\n' {
+			end++
 		}
-		if l.pos >= len(l.src) {
-			return token{}, l.errf(line, "unterminated string literal")
+		if end < len(l.src) && l.src[end] == '"' {
+			*t = token{kind: tokString, text: l.src[l.pos:end], line: line, pos: l.pos}
+			l.pos = end + 1 // closing quote
+			return nil
 		}
-		l.pos++ // closing quote
-		return token{kind: tokString, text: sb.String(), line: line}, nil
+		text, err := l.escapedString(line, end)
+		if err != nil {
+			return err
+		}
+		*t = token{kind: tokString, text: text, line: line, pos: start + 1}
+		return nil
 
 	case c == '@':
 		l.pos++
-		for l.pos < len(l.src) && (isIdentPart(l.src[l.pos]) || l.src[l.pos] == '/' || l.src[l.pos] == '.') {
+		for l.pos < len(l.src) && (identClass[l.src[l.pos]]&identPart != 0 || l.src[l.pos] == '/' || l.src[l.pos] == '.') {
 			l.pos++
 		}
-		name := l.src[start+1 : l.pos]
-		if name == "" {
-			return token{}, l.errf(line, "empty resource reference after '@'")
+		if l.pos == start+1 {
+			return l.errf(line, "empty resource reference after '@'")
 		}
-		return token{kind: tokRes, text: name, line: line}, nil
-
-	case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '>':
-		l.pos += 2
-		return token{kind: tokArrow, text: "->", line: line}, nil
-
-	case strings.IndexByte("{}()[]:,=;.", c) >= 0:
-		l.pos++
-		return token{kind: tokPunct, text: string(c), line: line}, nil
-
-	case strings.IndexByte("+-*/%&|^", c) >= 0:
-		l.pos++
-		return token{kind: tokOp, text: string(c), line: line}, nil
+		*t = token{kind: tokRes, text: l.src[start+1 : l.pos], line: line, pos: start + 1}
+		return nil
 	}
-	return token{}, l.errf(line, "unexpected character %q", string(c))
+	if i := strings.IndexByte(punctChars, c); i >= 0 {
+		l.pos++
+		*t = token{kind: tokPunct, text: punctChars[i : i+1], line: line, pos: start}
+		return nil
+	}
+	if i := strings.IndexByte(opChars, c); i >= 0 {
+		l.pos++
+		*t = token{kind: tokOp, text: opChars[i : i+1], line: line, pos: start}
+		return nil
+	}
+	return l.errf(line, "unexpected character %q", string(c))
+}
+
+// escapedString decodes the rest of a string literal whose body starts at
+// l.pos and has no escape, quote or newline before offset end. It leaves
+// l.pos after the closing quote.
+func (l *lexer) escapedString(line, end int) (string, error) {
+	var sb strings.Builder
+	sb.WriteString(l.src[l.pos:end])
+	l.pos = end
+	for l.pos < len(l.src) && l.src[l.pos] != '"' {
+		ch := l.src[l.pos]
+		if ch == '\\' && l.pos+1 < len(l.src) {
+			l.pos++
+			switch l.src[l.pos] {
+			case 'n':
+				ch = '\n'
+			case 't':
+				ch = '\t'
+			default:
+				ch = l.src[l.pos]
+			}
+		}
+		if ch == '\n' {
+			return "", l.errf(line, "unterminated string literal")
+		}
+		sb.WriteByte(ch)
+		l.pos++
+	}
+	if l.pos >= len(l.src) {
+		return "", l.errf(line, "unterminated string literal")
+	}
+	l.pos++ // closing quote
+	return sb.String(), nil
 }

@@ -47,16 +47,20 @@ type parser struct {
 	prog *ir.Program
 	cur  token
 	next token
+
+	// Scratch buffers reused across statements: the segments of the last
+	// parsed path and their source offsets, the body of the method being
+	// parsed, and the arguments of the call being parsed. What outlives a
+	// statement is copied out at its exact length.
+	segs   []string
+	segPos []int
+	body   []ir.Stmt
+	args   []ir.Value
 }
 
 func (p *parser) advance() error {
 	p.cur = p.next
-	t, err := p.lex.next()
-	if err != nil {
-		return err
-	}
-	p.next = t
-	return nil
+	return p.lex.scan(&p.next)
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -84,21 +88,11 @@ func (p *parser) expectIdent() (string, error) {
 
 // qname parses a dot-separated qualified name (e.g. android.app.Activity).
 func (p *parser) qname() (string, error) {
-	name, err := p.expectIdent()
+	pa, err := p.parsePath()
 	if err != nil {
 		return "", err
 	}
-	for p.isPunct(".") {
-		if err := p.advance(); err != nil {
-			return "", err
-		}
-		part, err := p.expectIdent()
-		if err != nil {
-			return "", err
-		}
-		name += "." + part
-	}
-	return name, nil
+	return p.dotted(len(pa.segs)), nil
 }
 
 // typeName parses a type: a qualified name or primitive, optionally
@@ -292,16 +286,8 @@ func (p *parser) parseBody(m *ir.Method) ([]ir.Stmt, error) {
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
-	var body []ir.Stmt
+	p.body = p.body[:0]
 	pendingLabel := ""
-	emit := func(s ir.Stmt, line int) {
-		if pendingLabel != "" {
-			setLabel(s, pendingLabel)
-			pendingLabel = ""
-		}
-		setLine(s, line)
-		body = append(body, s)
-	}
 	for !p.isPunct("}") {
 		line := p.cur.line
 		// Label: IDENT ":" (not followed by a type, i.e. not a local decl).
@@ -319,20 +305,32 @@ func (p *parser) parseBody(m *ir.Method) ([]ir.Stmt, error) {
 			}
 			continue
 		}
-		stmts, err := p.parseStmt(m)
-		if err != nil {
+		n := len(p.body)
+		if err := p.parseStmt(m); err != nil {
 			return nil, err
 		}
-		for _, s := range stmts {
-			emit(s, line)
+		for _, s := range p.body[n:] {
+			if pendingLabel != "" {
+				setLabel(s, pendingLabel)
+				pendingLabel = ""
+			}
+			setLine(s, line)
 		}
 	}
 	if pendingLabel != "" {
 		s := &ir.NopStmt{}
 		setLabel(s, pendingLabel)
-		body = append(body, s)
+		p.body = append(p.body, s)
 	}
-	return body, p.advance() // consume "}"
+	return exact(p.body), p.advance() // consume "}"
+}
+
+// exact copies a scratch slice out at its exact length; empty stays nil.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // setLabel and setLine position a freshly parsed statement. Statement
@@ -350,86 +348,92 @@ func setLine(s ir.Stmt, n int) {
 	}
 }
 
-// parseStmt parses one source statement; constructor sugar may expand to
-// two IR statements.
-func (p *parser) parseStmt(m *ir.Method) ([]ir.Stmt, error) {
+// parseStmt parses one source statement and appends it to p.body;
+// constructor sugar expands to two IR statements, a declaration to none.
+func (p *parser) parseStmt(m *ir.Method) error {
 	switch {
 	case p.isIdent("local"):
 		// "local x: T" declares a typed local; emits no statement.
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
 		name, err := p.expectIdent()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectPunct(":"); err != nil {
-			return nil, err
+			return err
 		}
 		t, err := p.typeName()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		l := m.Local(name)
 		l.Type = t
 		l.Declared = true
-		return nil, nil
+		return nil
 
 	case p.isIdent("if"):
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
 		if p.cur.kind != tokOp || p.cur.text != "*" {
-			return nil, p.errf("conditions are opaque: expected '*' after 'if', found %s", p.cur)
+			return p.errf("conditions are opaque: expected '*' after 'if', found %s", p.cur)
 		}
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
 		if !p.isIdent("goto") {
-			return nil, p.errf("expected 'goto' in if statement, found %s", p.cur)
+			return p.errf("expected 'goto' in if statement, found %s", p.cur)
 		}
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
 		target, err := p.expectIdent()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return []ir.Stmt{&ir.IfStmt{Target: target}}, nil
+		return p.emit(&ir.IfStmt{Target: target})
 
 	case p.isIdent("goto"):
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
 		target, err := p.expectIdent()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return []ir.Stmt{&ir.GotoStmt{Target: target}}, nil
+		return p.emit(&ir.GotoStmt{Target: target})
 
 	case p.isIdent("return"):
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
 		// A value follows unless the next token starts a new statement.
 		if p.isPunct("}") || p.startsStmt() {
-			return []ir.Stmt{&ir.ReturnStmt{}}, nil
+			return p.emit(&ir.ReturnStmt{})
 		}
 		v, err := p.operand(m)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return []ir.Stmt{&ir.ReturnStmt{Value: v}}, nil
+		return p.emit(&ir.ReturnStmt{Value: v})
 
 	case p.isIdent("nop"):
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
-		return []ir.Stmt{&ir.NopStmt{}}, nil
+		return p.emit(&ir.NopStmt{})
 	}
 
 	// Everything else begins with a path: an assignment or a call.
 	return p.parsePathStmt(m)
+}
+
+// emit appends a parsed statement to the body of the method being parsed.
+func (p *parser) emit(s ir.Stmt) error {
+	p.body = append(p.body, s)
+	return nil
 }
 
 // startsStmt reports whether the current token begins a new statement

@@ -8,31 +8,44 @@ import (
 
 // path is a dot-separated identifier chain awaiting interpretation: a
 // local, a local.field access, a static Class.field access, or the target
-// of a call.
+// of a call. Its segments live in the parser's segment buffer and are
+// valid until the next parsePath.
 type path struct {
 	segs []string
-	line int
 }
 
 func (p *parser) parsePath() (path, error) {
-	line := p.cur.line
-	var segs []string
-	seg, err := p.expectIdent()
-	if err != nil {
-		return path{}, err
-	}
-	segs = append(segs, seg)
-	for p.isPunct(".") {
-		if err := p.advance(); err != nil {
-			return path{}, err
-		}
+	p.segs, p.segPos = p.segs[:0], p.segPos[:0]
+	for {
+		pos := p.cur.pos
 		seg, err := p.expectIdent()
 		if err != nil {
 			return path{}, err
 		}
-		segs = append(segs, seg)
+		p.segs = append(p.segs, seg)
+		p.segPos = append(p.segPos, pos)
+		if !p.isPunct(".") {
+			return path{segs: p.segs}, nil
+		}
+		if err := p.advance(); err != nil {
+			return path{}, err
+		}
 	}
-	return path{segs: segs, line: line}, nil
+}
+
+// dotted returns the first n segments of the last parsed path joined by
+// dots. When the source writes them without interior whitespace or
+// comments, the name is sliced from the source instead of built.
+func (p *parser) dotted(n int) string {
+	start, end := p.segPos[0], p.segPos[n-1]+len(p.segs[n-1])
+	size := n - 1
+	for _, s := range p.segs[:n] {
+		size += len(s)
+	}
+	if end-start == size {
+		return p.lex.src[start:end]
+	}
+	return strings.Join(p.segs[:n], ".")
 }
 
 // isLocal reports whether name is a declared or previously assigned local
@@ -45,59 +58,60 @@ func isLocal(m *ir.Method, name string) bool { return m.LookupLocal(name) != nil
 
 // parsePathStmt parses a statement beginning with a path: an assignment
 // (to a local, field, static field or array element) or a stand-alone call.
-func (p *parser) parsePathStmt(m *ir.Method) ([]ir.Stmt, error) {
+func (p *parser) parsePathStmt(m *ir.Method) error {
 	pa, err := p.parsePath()
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Stand-alone call: path "(" args ")".
 	if p.isPunct("(") {
 		call, err := p.finishCall(m, pa)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return []ir.Stmt{&ir.InvokeStmt{Call: call}}, nil
+		return p.emit(&ir.InvokeStmt{Call: call})
 	}
 
 	// Array store: local "[" index "]" "=" operand.
 	if p.isPunct("[") {
 		if len(pa.segs) != 1 {
-			return nil, p.errf("array base must be a local, found %s", strings.Join(pa.segs, "."))
+			return p.errf("array base must be a local, found %s", p.dotted(len(pa.segs)))
 		}
 		base := m.Local(pa.segs[0])
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
 		idx, err := p.operand(m)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectPunct("]"); err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectPunct("="); err != nil {
-			return nil, err
+			return err
 		}
 		rhs, err := p.operand(m)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return []ir.Stmt{&ir.AssignStmt{LHS: &ir.ArrayRef{Base: base, Index: idx}, RHS: rhs}}, nil
+		return p.emit(&ir.AssignStmt{LHS: &ir.ArrayRef{Base: base, Index: idx}, RHS: rhs})
 	}
 
 	// Otherwise an assignment: lvalue "=" rvalue.
 	lhs, err := p.lvalueOf(m, pa)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := p.expectPunct("="); err != nil {
-		return nil, err
+		return err
 	}
 	return p.parseRvalue(m, lhs)
 }
 
-// lvalueOf interprets a path as an assignment target.
+// lvalueOf interprets a path as an assignment target or, in value
+// position, as the value read.
 func (p *parser) lvalueOf(m *ir.Method, pa path) (ir.Value, error) {
 	switch {
 	case len(pa.segs) == 1:
@@ -106,12 +120,11 @@ func (p *parser) lvalueOf(m *ir.Method, pa path) (ir.Value, error) {
 	case isLocal(m, pa.segs[0]):
 		if len(pa.segs) != 2 {
 			return nil, p.errf("chained field access %s is not three-address form; introduce a temporary",
-				strings.Join(pa.segs, "."))
+				p.dotted(len(pa.segs)))
 		}
 		return &ir.FieldRef{Base: m.LookupLocal(pa.segs[0]), Name: pa.segs[1]}, nil
 	default:
-		cls := strings.Join(pa.segs[:len(pa.segs)-1], ".")
-		return &ir.StaticFieldRef{Class: cls, Name: pa.segs[len(pa.segs)-1]}, nil
+		return &ir.StaticFieldRef{Class: p.dotted(len(pa.segs) - 1), Name: pa.segs[len(pa.segs)-1]}, nil
 	}
 }
 
@@ -136,26 +149,33 @@ func (p *parser) operand(m *ir.Method) (ir.Value, error) {
 	return nil, p.errf("expected operand, found %s", p.cur)
 }
 
-// finishCall parses "(args)" after a call target path and builds the
-// invocation expression.
-func (p *parser) finishCall(m *ir.Method, pa path) (*ir.InvokeExpr, error) {
+// parseArgs parses "(operand, ...)" and returns the operands, nil when
+// there are none.
+func (p *parser) parseArgs(m *ir.Method) ([]ir.Value, error) {
 	if err := p.advance(); err != nil { // consume "("
 		return nil, err
 	}
-	var args []ir.Value
+	p.args = p.args[:0]
 	for !p.isPunct(")") {
 		a, err := p.operand(m)
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, a)
+		p.args = append(p.args, a)
 		if p.isPunct(",") {
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := p.advance(); err != nil { // consume ")"
+	return exact(p.args), p.advance() // consume ")"
+}
+
+// finishCall parses "(args)" after a call target path and builds the
+// invocation expression.
+func (p *parser) finishCall(m *ir.Method, pa path) (*ir.InvokeExpr, error) {
+	args, err := p.parseArgs(m)
+	if err != nil {
 		return nil, err
 	}
 	if len(pa.segs) < 2 {
@@ -175,7 +195,7 @@ func (p *parser) finishCall(m *ir.Method, pa path) (*ir.InvokeExpr, error) {
 			Args: args,
 		}, nil
 	}
-	cls := strings.Join(pa.segs[:len(pa.segs)-1], ".")
+	cls := p.dotted(len(pa.segs) - 1)
 	return &ir.InvokeExpr{
 		Kind: ir.StaticInvoke,
 		Ref:  ir.MethodRef{Class: cls, Name: name, NArgs: len(args)},
@@ -183,46 +203,31 @@ func (p *parser) finishCall(m *ir.Method, pa path) (*ir.InvokeExpr, error) {
 	}, nil
 }
 
-// parseRvalue parses the right-hand side of "lhs =" and returns the
+// parseRvalue parses the right-hand side of "lhs =" and appends the
 // resulting statement(s); constructor sugar expands to two statements.
-func (p *parser) parseRvalue(m *ir.Method, lhs ir.Value) ([]ir.Stmt, error) {
+func (p *parser) parseRvalue(m *ir.Method, lhs ir.Value) error {
 	switch {
 	case p.isIdent("new"):
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
 		cls, err := p.qname()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		alloc := &ir.AssignStmt{LHS: lhs, RHS: &ir.New{Type: ir.Ref(cls)}}
 		if !p.isPunct("(") {
-			return []ir.Stmt{alloc}, nil
+			return p.emit(alloc)
 		}
 		// Constructor sugar: "x = new C(a, b)" expands to the allocation
 		// followed by a special-invoke of C.init.
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		var args []ir.Value
-		for !p.isPunct(")") {
-			a, err := p.operand(m)
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, a)
-			if p.isPunct(",") {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
+		args, err := p.parseArgs(m)
+		if err != nil {
+			return err
 		}
 		recv, ok := lhs.(*ir.Local)
 		if !ok {
-			return nil, p.errf("constructor result must be assigned to a local")
+			return p.errf("constructor result must be assigned to a local")
 		}
 		ctor := &ir.InvokeStmt{Call: &ir.InvokeExpr{
 			Kind: ir.SpecialInvoke,
@@ -230,40 +235,41 @@ func (p *parser) parseRvalue(m *ir.Method, lhs ir.Value) ([]ir.Stmt, error) {
 			Ref:  ir.MethodRef{Class: cls, Name: "init", NArgs: len(args)},
 			Args: args,
 		}}
-		return []ir.Stmt{alloc, ctor}, nil
+		p.body = append(p.body, alloc, ctor)
+		return nil
 
 	case p.isIdent("newarray"):
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
 		t, err := p.typeName()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return []ir.Stmt{&ir.AssignStmt{LHS: lhs, RHS: &ir.NewArray{Elem: t}}}, nil
+		return p.emit(&ir.AssignStmt{LHS: lhs, RHS: &ir.NewArray{Elem: t}})
 
 	case p.isPunct("("): // cast: "(C) x"
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
 		t, err := p.typeName()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectPunct(")"); err != nil {
-			return nil, err
+			return err
 		}
 		x, err := p.operand(m)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return []ir.Stmt{&ir.AssignStmt{LHS: lhs, RHS: &ir.Cast{To: t, X: x}}}, nil
+		return p.emit(&ir.AssignStmt{LHS: lhs, RHS: &ir.Cast{To: t, X: x}})
 
 	case p.cur.kind == tokInt || p.cur.kind == tokString || p.cur.kind == tokRes ||
 		p.isIdent("null"):
 		v, err := p.operand(m)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		return p.maybeBinop(m, lhs, v)
 	}
@@ -272,72 +278,55 @@ func (p *parser) parseRvalue(m *ir.Method, lhs ir.Value) ([]ir.Stmt, error) {
 	// call with result.
 	pa, err := p.parsePath()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if p.isPunct("(") {
 		call, err := p.finishCall(m, pa)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return []ir.Stmt{&ir.AssignStmt{LHS: lhs, RHS: call}}, nil
+		return p.emit(&ir.AssignStmt{LHS: lhs, RHS: call})
 	}
 	if p.isPunct("[") {
 		if len(pa.segs) != 1 {
-			return nil, p.errf("array base must be a local")
+			return p.errf("array base must be a local")
 		}
 		base := m.Local(pa.segs[0])
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
 		idx, err := p.operand(m)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectPunct("]"); err != nil {
-			return nil, err
+			return err
 		}
-		return []ir.Stmt{&ir.AssignStmt{LHS: lhs, RHS: &ir.ArrayRef{Base: base, Index: idx}}}, nil
+		return p.emit(&ir.AssignStmt{LHS: lhs, RHS: &ir.ArrayRef{Base: base, Index: idx}})
 	}
-	v, err := p.pathValue(m, pa)
+	v, err := p.lvalueOf(m, pa)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	return p.maybeBinop(m, lhs, v)
 }
 
-// pathValue interprets a path in value position.
-func (p *parser) pathValue(m *ir.Method, pa path) (ir.Value, error) {
-	switch {
-	case len(pa.segs) == 1:
-		return m.Local(pa.segs[0]), nil
-	case isLocal(m, pa.segs[0]):
-		if len(pa.segs) != 2 {
-			return nil, p.errf("chained field access %s is not three-address form; introduce a temporary",
-				strings.Join(pa.segs, "."))
-		}
-		return &ir.FieldRef{Base: m.LookupLocal(pa.segs[0]), Name: pa.segs[1]}, nil
-	default:
-		cls := strings.Join(pa.segs[:len(pa.segs)-1], ".")
-		return &ir.StaticFieldRef{Class: cls, Name: pa.segs[len(pa.segs)-1]}, nil
-	}
-}
-
 // maybeBinop checks for a trailing binary operator after the first operand
 // and builds either a plain assignment or a binop assignment.
-func (p *parser) maybeBinop(m *ir.Method, lhs, first ir.Value) ([]ir.Stmt, error) {
+func (p *parser) maybeBinop(m *ir.Method, lhs, first ir.Value) error {
 	if p.cur.kind != tokOp {
-		return []ir.Stmt{&ir.AssignStmt{LHS: lhs, RHS: first}}, nil
+		return p.emit(&ir.AssignStmt{LHS: lhs, RHS: first})
 	}
 	if !ir.IsSimple(first) {
-		return nil, p.errf("binary operands must be locals or constants; introduce a temporary")
+		return p.errf("binary operands must be locals or constants; introduce a temporary")
 	}
 	op := p.cur.text
 	if err := p.advance(); err != nil {
-		return nil, err
+		return err
 	}
 	second, err := p.operand(m)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []ir.Stmt{&ir.AssignStmt{LHS: lhs, RHS: &ir.Binop{Op: op, L: first, R: second}}}, nil
+	return p.emit(&ir.AssignStmt{LHS: lhs, RHS: &ir.Binop{Op: op, L: first, R: second}})
 }

@@ -108,9 +108,9 @@ func TestQuickPrintParseRoundTrip(t *testing.T) {
 func TestQuickLexerNeverLoops(t *testing.T) {
 	f := func(data []byte) bool {
 		l := newLexer(string(data), "fuzz")
+		var tok token
 		for steps := 0; steps < len(data)+10; steps++ {
-			tok, err := l.next()
-			if err != nil {
+			if err := l.scan(&tok); err != nil {
 				return true
 			}
 			if tok.kind == tokEOF {
@@ -161,9 +161,8 @@ func TestQuickStringLiterals(t *testing.T) {
 			}
 		}
 		lit.WriteByte('"')
-		l := newLexer(lit.String(), "lit")
-		tok, err := l.next()
-		if err != nil || tok.kind != tokString {
+		var tok token
+		if err := newLexer(lit.String(), "lit").scan(&tok); err != nil || tok.kind != tokString {
 			return false
 		}
 		return tok.text == s

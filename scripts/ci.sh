@@ -44,6 +44,9 @@ rm -f "$lint_file"
 echo "==> fuzz smoke (parse-then-verify, seeded with the defect-injector corpus)"
 go test -fuzz FuzzParseAndVerify -fuzztime 10s -run '^$' ./internal/irlint/
 
+echo "==> fuzz smoke (parser, seeded with InsecureBank and an appgen Stress app)"
+go test -fuzz FuzzParse -fuzztime 10s -run '^$' ./internal/irtext/
+
 echo "==> trace smoke (flowdroid -insecurebank -trace) + checktrace"
 trace_file=$(mktemp)
 # InsecureBank finds leaks, so exit 1 is the expected outcome here; any
