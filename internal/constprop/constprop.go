@@ -39,20 +39,15 @@ import (
 // and the resolved edge fan-out bounded.
 const maxSet = 8
 
-// maxRounds bounds the interprocedural fixpoint; the lattice height is
-// tiny (sets only grow until maxSet, then top), so the bound exists only
-// as a safety net against a transfer-function bug looping forever.
-const maxRounds = 32
-
 type kind uint8
 
 const (
-	bot kind = iota // no constant observed yet (unassigned path)
-	strs            // a bounded set of string constants
-	classes         // a bounded set of class names (java.lang.Class values)
-	methods         // a bounded set of (class, method-name) pairs
-	builder         // StringBuilder/StringBuffer contents, tracked per allocation site
-	top             // not a constant
+	bot     kind = iota // no constant observed yet (unassigned path)
+	strs                // a bounded set of string constants
+	classes             // a bounded set of class names (java.lang.Class values)
+	methods             // a bounded set of (class, method-name) pairs
+	builder             // StringBuilder/StringBuffer contents, tracked per allocation site
+	top                 // not a constant
 )
 
 // methodKey is one (class, method-name) element of a methods fact — the
@@ -195,28 +190,66 @@ func concat(a, b fact) fact {
 	return fact{k: strs, set: dedup(out)}
 }
 
-// state is the per-program-point environment: local → fact. Locals
-// absent from the map are bot.
-type state map[*ir.Local]fact
+// state is the per-program-point environment of one method: the fact of
+// each local, indexed by the local's slot (see analysis.slots). The zero
+// fact is bot.
+type state []fact
 
-func (st state) clone() state {
-	out := make(state, len(st))
-	for l, f := range st {
-		out[l] = f
+// raise joins f into *dst, reporting whether *dst rose. Joining bot, or
+// into top, or a fact into itself never changes *dst, and skipping the
+// join there avoids building a set that equals the old one.
+func raise(dst *fact, f fact) bool {
+	if f.k == bot || dst.k == top || equalFacts(*dst, f) {
+		return false
 	}
-	return out
+	j := join(*dst, f)
+	if equalFacts(*dst, j) {
+		return false
+	}
+	*dst = j
+	return true
 }
 
 func (st state) joinInto(other state) bool {
 	changed := false
-	for l, f := range other {
-		j := join(st[l], f)
-		if !equalFacts(st[l], j) {
-			st[l] = j
+	for i, f := range other {
+		if raise(&st[i], f) {
 			changed = true
 		}
 	}
 	return changed
+}
+
+// method is one analyzed method's share of the interprocedural fixpoint.
+type method struct {
+	m *ir.Method
+	// nlocals is the length of m's states; analysis.slots numbers m's
+	// locals 0..nlocals-1.
+	nlocals int
+
+	// external pins the parameters top: framework callbacks (overriding a
+	// bodyless declaration), static initializers, and methods with no
+	// observed call site (callable from outside the analyzed code).
+	external bool
+	// reflective marks a body with a call the classification pass acts
+	// on; no other method can contribute a Site.
+	reflective bool
+	// callers are the analyzed methods with a call site resolving to m,
+	// each listed once.
+	callers []*method
+
+	// paramIn[i] joins the i-th argument facts over every observed call
+	// site of m; retOut joins m's return-value facts.
+	paramIn []fact
+	retOut  fact
+
+	// dirty is set when paramIn or a callee's retOut rose since m was
+	// last analyzed. Those, the fixed field facts and external are m's
+	// only inputs, so analyzing a clean method again would repeat joins
+	// that already happened.
+	dirty bool
+	// analyses counts the fixpoint's analyses of m.
+	analyses int
 }
 
 // analysis holds the interprocedural fixpoint state.
@@ -226,20 +259,15 @@ type analysis struct {
 	res *callgraph.Resolver
 
 	// methods are the analyzed (app, non-synthetic, bodied) methods in
-	// deterministic (class name, method name, arity) order.
-	methods []*ir.Method
-	inSet   map[*ir.Method]bool
+	// deterministic (class name, method name, arity) order; byIR maps each
+	// to its entry.
+	methods []*method
+	byIR    map[*ir.Method]*method
 
-	// external marks methods whose parameters are pinned top: framework
-	// callbacks (overriding a bodyless declaration), static initializers,
-	// and methods with no observed call site (callable from outside the
-	// analyzed code).
-	external map[*ir.Method]bool
-
-	// paramIn[m][i] joins the i-th argument facts over every observed
-	// call site of m; retOut[m] joins m's return-value facts.
-	paramIn map[*ir.Method][]fact
-	retOut  map[*ir.Method]fact
+	// slots numbers each analyzed method's locals densely, so a state is
+	// a slice. The numbering lives here rather than on ir.Local because
+	// later passes (lifecycle, materialization) add locals.
+	slots map[*ir.Local]int32
 
 	// fieldFacts holds the constant for fields with exactly one writer
 	// program-wide whose written value is a string literal; every other
@@ -247,9 +275,22 @@ type analysis struct {
 	fieldFacts map[*ir.Field]fact
 
 	// targets memoizes the resolver per call expression: transferCall
-	// re-evaluates every call site on every worklist visit of every
-	// fixpoint round, and the targets never change mid-pass.
+	// re-evaluates every call site on every worklist visit, and the
+	// targets never change mid-pass.
 	targets map[*ir.InvokeExpr][]*ir.Method
+
+	// maxRounds bounds run() (see newAnalysis); rounds counts the rounds
+	// run.
+	maxRounds, rounds int
+
+	// Buffers analyzeMethod reuses from one method to the next: the
+	// per-statement in-states (carved from arena on first reach), the
+	// worklist, and the scratch state each visit transfers on.
+	in              []state
+	reached, inWork []bool
+	arena           []fact
+	work            []int
+	scratch         state
 
 	truncated bool
 }
@@ -259,43 +300,89 @@ func newAnalysis(ctx context.Context, h ir.Hierarchy) *analysis {
 		ctx:        ctx,
 		h:          h,
 		res:        callgraph.ResolverFor(h),
-		inSet:      make(map[*ir.Method]bool),
-		external:   make(map[*ir.Method]bool),
-		paramIn:    make(map[*ir.Method][]fact),
-		retOut:     make(map[*ir.Method]fact),
+		byIR:       make(map[*ir.Method]*method),
+		slots:      make(map[*ir.Local]int32),
 		fieldFacts: make(map[*ir.Field]fact),
 		targets:    make(map[*ir.InvokeExpr][]*ir.Method),
 	}
+	slotCount := 0
 	for _, c := range h.Classes() {
-		if c.Synthetic || c.Interface {
+		// Shared classes are the frozen framework stubs, which have no
+		// bodies.
+		if c.Synthetic || c.Interface || c.Shared() {
 			continue
 		}
 		for _, m := range c.Methods() {
 			if m.Abstract() {
 				continue
 			}
-			a.methods = append(a.methods, m)
-			a.inSet[m] = true
+			mi := &method{m: m, nlocals: a.number(m), paramIn: make([]fact, len(m.Params))}
+			a.methods = append(a.methods, mi)
+			a.byIR[m] = mi
+			slotCount += len(m.Params) + 1
 		}
 	}
+	// Every round but the last raises some paramIn or retOut slot, and a
+	// slot climbs a chain of maxSet+2 values (bot, one to maxSet
+	// constants, top), so it rises fewer than maxSet+2 times.
+	a.maxRounds = (maxSet+2)*slotCount + 1
 	a.prescan()
 	return a
 }
 
-// prescan classifies externally-callable methods and collects the
-// single-constant-writer field facts in one walk over every body.
+// number gives m's locals, receiver and parameters their slots and
+// returns how many there are.
+func (a *analysis) number(m *ir.Method) int {
+	n := 0
+	add := func(l *ir.Local) {
+		if _, ok := a.slots[l]; l != nil && !ok {
+			a.slots[l] = int32(n)
+			n++
+		}
+	}
+	for _, l := range m.Locals() {
+		add(l)
+	}
+	add(m.This)
+	for _, p := range m.Params {
+		add(p)
+	}
+	return n
+}
+
+// slot is l's index in the states of its method.
+func (a *analysis) slot(l *ir.Local) int {
+	i, ok := a.slots[l]
+	if !ok {
+		panic("constprop: local " + l.Name + " was not numbered")
+	}
+	return int(i)
+}
+
+// prescan classifies externally-callable and reflective methods, records
+// each method's callers, and collects the single-constant-writer field
+// facts in one walk over every body.
 func (a *analysis) prescan() {
 	type fieldWrite struct {
 		count int
 		f     fact
 	}
 	writes := make(map[*ir.Field]*fieldWrite)
-	hasSite := make(map[*ir.Method]bool)
-	for _, m := range a.methods {
-		for _, s := range m.Body() {
+	for _, mi := range a.methods {
+		for _, s := range mi.m.Body() {
 			if call := ir.CallOf(s); call != nil {
+				if classified(call) {
+					mi.reflective = true
+				}
 				for _, t := range a.targetsOf(call) {
-					hasSite[t] = true
+					ti := a.byIR[t]
+					if ti == nil {
+						continue
+					}
+					// mi's calls are walked together, so a repeat is last.
+					if n := len(ti.callers); n == 0 || ti.callers[n-1] != mi {
+						ti.callers = append(ti.callers, mi)
+					}
 				}
 			}
 			as, ok := s.(*ir.AssignStmt)
@@ -332,9 +419,10 @@ func (a *analysis) prescan() {
 			a.fieldFacts[fld] = topFact
 		}
 	}
-	for _, m := range a.methods {
-		if a.overridesExternal(m) || m.Name == "clinit" || !hasSite[m] {
-			a.external[m] = true
+	for _, mi := range a.methods {
+		m := mi.m
+		if a.overridesExternal(m) || m.Name == "clinit" || len(mi.callers) == 0 {
+			mi.external = true
 		}
 	}
 }
@@ -356,108 +444,139 @@ func (a *analysis) overridesExternal(m *ir.Method) bool {
 	return false
 }
 
-// entryState is the environment at a method's start point.
-func (a *analysis) entryState(m *ir.Method) state {
-	st := make(state, len(m.Params)+1)
+// entryState fills st with the environment at mi's start point.
+func (a *analysis) entryState(mi *method, st state) {
+	clear(st)
+	m := mi.m
 	if m.This != nil {
-		st[m.This] = topFact
+		st[a.slot(m.This)] = topFact
 	}
-	pin := a.paramIn[m]
 	for i, p := range m.Params {
-		switch {
-		case a.external[m]:
-			st[p] = topFact
-		case i < len(pin):
+		if mi.external {
+			st[a.slot(p)] = topFact
+		} else {
 			// Starts at bot before any caller was analyzed and only ever
 			// rises — the join over observed call sites is monotone.
-			st[p] = pin[i]
+			st[a.slot(p)] = mi.paramIn[i]
 		}
 	}
-	return st
 }
 
-// run drives the interprocedural fixpoint: every method is analyzed
-// intraprocedurally; argument facts observed at its call sites feed the
-// callees' parameter environments and return facts feed call results,
-// until a full round changes nothing.
+// run drives the interprocedural fixpoint: methods are analyzed
+// intraprocedurally in order, argument facts observed at call sites feed
+// the callees' parameter environments and return facts feed call
+// results, until a full round changes nothing. Round 0 analyzes every
+// method; later rounds only the dirty ones, which are exactly those whose
+// analysis could change a fact. If the round bound is hit while facts
+// still change (a transfer-function bug), the result is truncated.
 func (a *analysis) run() {
-	for round := 0; round < maxRounds; round++ {
-		changed := false
-		for _, m := range a.methods {
+	for _, mi := range a.methods {
+		mi.dirty = true
+	}
+	for changed := true; changed; {
+		if a.rounds == a.maxRounds {
+			a.truncated = true
+			return
+		}
+		a.rounds++
+		changed = false
+		for _, mi := range a.methods {
+			if !mi.dirty {
+				continue
+			}
 			if a.ctx.Err() != nil {
 				a.truncated = true
 				return
 			}
-			if a.analyzeMethod(m, nil) {
+			mi.dirty = false
+			mi.analyses++
+			if a.analyzeMethod(mi, nil) {
 				changed = true
 			}
-		}
-		if !changed {
-			return
 		}
 	}
 }
 
+// succs returns the successor indices of body[i], -1 standing for none.
+// It mirrors cfg.MethodCFG's edge rules without building statement
+// slices.
+func succs(body []ir.Stmt, i int) (int, int) {
+	switch s := body[i].(type) {
+	case *ir.GotoStmt:
+		return s.TargetIndex, -1
+	case *ir.IfStmt:
+		if s.TargetIndex != i+1 {
+			return i + 1, s.TargetIndex
+		}
+	case *ir.ReturnStmt:
+		return -1, -1
+	}
+	return i + 1, -1
+}
+
 // analyzeMethod runs the flow-sensitive intraprocedural worklist over
-// m's body under the current interprocedural environment, returning
-// whether any callee's paramIn or m's retOut changed. When visit is
+// mi's body under the current interprocedural environment, returning
+// whether any callee's paramIn or mi's retOut rose. When visit is
 // non-nil it is invoked at every call statement with the state holding
 // immediately before the call (the classification pass of reflect.go).
-func (a *analysis) analyzeMethod(m *ir.Method, visit func(s ir.Stmt, call *ir.InvokeExpr, st state)) bool {
-	body := m.Body()
+func (a *analysis) analyzeMethod(mi *method, visit func(s ir.Stmt, call *ir.InvokeExpr, st state)) bool {
+	body := mi.m.Body()
 	if len(body) == 0 {
 		return false
 	}
-	in := make([]state, len(body))
-	in[0] = a.entryState(m)
-	changed := false
-
-	// succs mirrors cfg.MethodCFG's edge rules without allocating the
-	// statement-slice wrappers on every visit.
-	succsOf := func(i int) []int {
-		switch s := body[i].(type) {
-		case *ir.GotoStmt:
-			return []int{s.TargetIndex}
-		case *ir.IfStmt:
-			if s.TargetIndex != i+1 {
-				return []int{i + 1, s.TargetIndex}
-			}
-			return []int{i + 1}
-		case *ir.ReturnStmt:
-			return nil
-		}
-		if i+1 < len(body) {
-			return []int{i + 1}
-		}
-		return nil
+	n := mi.nlocals
+	if cap(a.in) < len(body) {
+		a.in = make([]state, len(body))
+		a.reached = make([]bool, len(body))
+		a.inWork = make([]bool, len(body))
 	}
+	if cap(a.arena) < len(body)*n {
+		a.arena = make([]fact, len(body)*n)
+	}
+	if cap(a.scratch) < n {
+		a.scratch = make(state, n)
+	}
+	in, reached, inWork := a.in[:len(body)], a.reached[:len(body)], a.inWork[:len(body)]
+	clear(reached)
+	clear(inWork)
+	st := a.scratch[:n]
+	// in[i] is carved from the arena the first time statement i is
+	// reached, and reached (not a nil check) records that, because a
+	// method without locals has empty states.
+	frame := func(i int) state { return state(a.arena[i*n : (i+1)*n : (i+1)*n]) }
 
-	work := []int{0}
-	inWork := make([]bool, len(body))
+	in[0] = frame(0)
+	reached[0] = true
+	a.entryState(mi, in[0])
+	changed := false
+	work := append(a.work[:0], 0)
 	inWork[0] = true
 	steps := 0
 	for len(work) > 0 {
 		steps++
 		if steps%1024 == 0 && a.ctx.Err() != nil {
 			a.truncated = true
-			return changed
+			break
 		}
 		i := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[i] = false
-		st := in[i].clone()
+		copy(st, in[i])
 		if call := ir.CallOf(body[i]); call != nil && visit != nil {
 			visit(body[i], call, st)
 		}
-		if a.transfer(m, body[i], st) {
+		if a.transfer(mi, body[i], st) {
 			changed = true
 		}
-		for _, j := range succsOf(i) {
-			if j >= len(body) {
+		j1, j2 := succs(body, i)
+		for _, j := range [2]int{j1, j2} {
+			if j < 0 || j >= len(body) {
 				continue
 			}
-			if in[j] == nil {
-				in[j] = st.clone()
+			if !reached[j] {
+				reached[j] = true
+				in[j] = frame(j)
+				copy(in[j], st)
 			} else if !in[j].joinInto(st) {
 				continue
 			}
@@ -467,14 +586,15 @@ func (a *analysis) analyzeMethod(m *ir.Method, visit func(s ir.Stmt, call *ir.In
 			}
 		}
 	}
+	a.work = work
 	return changed
 }
 
 // operand evaluates a call argument or binop operand under st.
-func operand(st state, v ir.Value) fact {
+func (a *analysis) operand(st state, v ir.Value) fact {
 	switch v := v.(type) {
 	case *ir.Local:
-		return st[v]
+		return st[a.slot(v)]
 	case *ir.Const:
 		if v.Kind == ir.StringConst {
 			return strsOf(v.Str)
@@ -485,20 +605,17 @@ func operand(st state, v ir.Value) fact {
 }
 
 // transfer applies one statement to st in place, reporting whether it
-// changed any interprocedural fact (callee params, own return).
-func (a *analysis) transfer(m *ir.Method, s ir.Stmt, st state) bool {
+// raised any interprocedural fact (callee params, own return).
+func (a *analysis) transfer(mi *method, s ir.Stmt, st state) bool {
 	switch stm := s.(type) {
 	case *ir.ReturnStmt:
-		if stm.Value == nil {
+		if stm.Value == nil || !raise(&mi.retOut, a.operand(st, stm.Value)) {
 			return false
 		}
-		f := operand(st, stm.Value)
-		j := join(a.retOut[m], f)
-		if !equalFacts(a.retOut[m], j) {
-			a.retOut[m] = j
-			return true
+		for _, c := range mi.callers {
+			c.dirty = true
 		}
-		return false
+		return true
 	case *ir.InvokeStmt:
 		return a.transferCall(s, stm.Call, nil, st)
 	case *ir.AssignStmt:
@@ -514,47 +631,53 @@ func (a *analysis) transfer(m *ir.Method, s ir.Stmt, st state) bool {
 			// Writing a tracked builder into the heap lets unseen code
 			// mutate it; drop every alias of its origin to stay sound.
 			if src, ok := stm.RHS.(*ir.Local); ok {
-				degradeBuilder(st, st[src])
+				degradeBuilder(st, st[a.slot(src)])
 			}
 			return false
 		}
+		var f fact
 		switch rhs := stm.RHS.(type) {
 		case *ir.Const:
 			if rhs.Kind == ir.StringConst {
-				st[lhs] = strsOf(rhs.Str)
+				f = strsOf(rhs.Str)
 			} else {
-				st[lhs] = topFact
+				f = topFact
 			}
 		case *ir.Local:
-			st[lhs] = st[rhs]
+			f = st[a.slot(rhs)]
 		case *ir.Cast:
 			if x, ok := rhs.X.(*ir.Local); ok {
-				st[lhs] = st[x]
+				f = st[a.slot(x)]
 			} else {
-				st[lhs] = topFact
+				f = topFact
 			}
 		case *ir.Binop:
 			if rhs.Op == "+" {
-				st[lhs] = concat(operand(st, rhs.L), operand(st, rhs.R))
+				f = concat(a.operand(st, rhs.L), a.operand(st, rhs.R))
 			} else {
-				st[lhs] = topFact
+				f = topFact
 			}
 		case *ir.New:
 			if rhs.Type.Name == "java.lang.StringBuilder" || rhs.Type.Name == "java.lang.StringBuffer" {
-				st[lhs] = fact{k: builder, set: []string{""}, origin: s}
+				f = fact{k: builder, set: emptyContents, origin: s}
 			} else {
-				st[lhs] = topFact
+				f = topFact
 			}
 		case *ir.FieldRef:
-			st[lhs] = a.fieldFact(rhs.Field)
+			f = a.fieldFact(rhs.Field)
 		case *ir.StaticFieldRef:
-			st[lhs] = a.fieldFact(rhs.Field)
+			f = a.fieldFact(rhs.Field)
 		default:
-			st[lhs] = topFact
+			f = topFact
 		}
+		st[a.slot(lhs)] = f
 	}
 	return false
 }
+
+// emptyContents is a fresh builder's contents. Facts never mutate their
+// sets, so every allocation site shares it.
+var emptyContents = []string{""}
 
 func (a *analysis) targetsOf(call *ir.InvokeExpr) []*ir.Method {
 	if t, ok := a.targets[call]; ok {
@@ -582,9 +705,9 @@ func degradeBuilder(st state, f fact) {
 	if f.k != builder {
 		return
 	}
-	for l, lf := range st {
+	for i, lf := range st {
 		if lf.k == builder && lf.origin == f.origin {
-			st[l] = topFact
+			st[i] = topFact
 		}
 	}
 }
@@ -595,20 +718,21 @@ func setBuilder(st state, origin ir.Stmt, contents fact) {
 	if contents.k == strs {
 		nf = fact{k: builder, set: contents.set, origin: origin}
 	}
-	for l, lf := range st {
+	for i, lf := range st {
 		if lf.k == builder && lf.origin == origin {
-			st[l] = nf
+			st[i] = nf
 		}
 	}
 }
 
 // transferCall models one invocation: the string/Class/Method APIs get
 // precise transfer functions; everything else propagates argument facts
-// to resolvable callees and reads back their joined return fact.
+// to resolvable callees and reads back their joined return fact. It
+// reports whether a callee's paramIn rose, marking that callee dirty.
 func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local, st state) bool {
 	setResult := func(f fact) {
 		if result != nil {
-			st[result] = f
+			st[a.slot(result)] = f
 		}
 	}
 
@@ -616,12 +740,13 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 	// a builder fact (not the declared type — a builder that escaped is
 	// already top and falls through to the generic path).
 	if call.Base != nil {
-		if bf := st[call.Base]; bf.k == builder {
+		base := a.slot(call.Base)
+		if bf := st[base]; bf.k == builder {
 			switch {
 			case call.Ref.Name == "append" && len(call.Args) == 1:
-				contents := concat(fact{k: strs, set: bf.set}, operand(st, call.Args[0]))
+				contents := concat(fact{k: strs, set: bf.set}, a.operand(st, call.Args[0]))
 				setBuilder(st, bf.origin, contents)
-				setResult(st[call.Base])
+				setResult(st[base])
 			case call.Ref.Name == "toString" && len(call.Args) == 0:
 				setResult(fact{k: strs, set: bf.set})
 			case call.Ref.Name == "init":
@@ -641,7 +766,7 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 	// fixpoint round) yield bot, keeping the transfer monotone.
 	switch api, _ := reflectiveAPI(call); api {
 	case apiForName:
-		switch f := operand(st, call.Args[0]); f.k {
+		switch f := a.operand(st, call.Args[0]); f.k {
 		case strs:
 			setResult(fact{k: classes, set: f.set})
 		case bot:
@@ -651,8 +776,8 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 		}
 		return false
 	case apiGetMethod:
-		cf := st[call.Base]
-		nf := operand(st, call.Args[0])
+		cf := st[a.slot(call.Base)]
+		nf := a.operand(st, call.Args[0])
 		switch {
 		case cf.k == classes && nf.k == strs && len(cf.set)*len(nf.set) <= maxSet:
 			pairs := make([]methodKey, 0, len(cf.set)*len(nf.set))
@@ -669,7 +794,7 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 		}
 		return false
 	case apiGetName:
-		switch cf := st[call.Base]; cf.k {
+		switch cf := st[a.slot(call.Base)]; cf.k {
 		case classes:
 			setResult(fact{k: strs, set: cf.set})
 		case bot:
@@ -690,7 +815,7 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 	// escapes.
 	for _, arg := range call.Args {
 		if l, ok := arg.(*ir.Local); ok {
-			degradeBuilder(st, st[l])
+			degradeBuilder(st, st[a.slot(l)])
 		}
 	}
 	changed := false
@@ -698,27 +823,26 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 	allKnown := len(targets) > 0
 	ret := fact{}
 	for _, t := range targets {
-		if !a.inSet[t] {
+		ti := a.byIR[t]
+		if ti == nil {
 			allKnown = false
 			continue
 		}
-		pin := a.paramIn[t]
-		if pin == nil {
-			pin = make([]fact, len(t.Params))
-			a.paramIn[t] = pin
-		}
-		for i := range t.Params {
-			var af fact = topFact
+		rose := false
+		for i := range ti.paramIn {
+			af := topFact
 			if i < len(call.Args) {
-				af = operand(st, call.Args[i])
+				af = a.operand(st, call.Args[i])
 			}
-			j := join(pin[i], af)
-			if !equalFacts(pin[i], j) {
-				pin[i] = j
-				changed = true
+			if raise(&ti.paramIn[i], af) {
+				rose = true
 			}
 		}
-		ret = join(ret, a.retOut[t])
+		if rose {
+			ti.dirty = true
+			changed = true
+		}
+		ret = join(ret, ti.retOut)
 	}
 	if allKnown {
 		setResult(ret)

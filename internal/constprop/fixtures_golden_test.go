@@ -117,17 +117,22 @@ func writeSites(sb *strings.Builder, name string, res *constprop.Result) {
 
 func TestFixturesGolden(t *testing.T) {
 	var got strings.Builder
+	maxRounds, maxName := 0, ""
 	for _, f := range shippedFixtures() {
 		prog, err := f.load()
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		res := constprop.Analyze(context.Background(), scene.New(prog))
+		res, rounds, _ := constprop.AnalyzeStats(context.Background(), scene.New(prog))
 		if res.Truncated {
 			t.Fatalf("%s: analysis truncated without a deadline", f.name)
 		}
+		if rounds > maxRounds {
+			maxRounds, maxName = rounds, f.name
+		}
 		writeSites(&got, f.name, res)
 	}
+	t.Logf("most fixpoint rounds: %d (%s)", maxRounds, maxName)
 	if os.Getenv("UPDATE_GOLDEN") == "1" {
 		if err := os.WriteFile(sitesGolden, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)

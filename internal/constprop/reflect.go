@@ -3,7 +3,6 @@ package constprop
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"flowdroid/internal/ir"
 )
@@ -147,6 +146,13 @@ type Result struct {
 // program; Materialize turns the resolved sites into callable bridge
 // methods.
 func Analyze(ctx context.Context, h ir.Hierarchy) *Result {
+	res, _ := analyzeState(ctx, h)
+	return res
+}
+
+// analyzeState is Analyze, also returning the fixpoint's state; the state is
+// nil when the program has no reflective call.
+func analyzeState(ctx context.Context, h ir.Hierarchy) (*Result, *analysis) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -159,39 +165,37 @@ func Analyze(ctx context.Context, h ir.Hierarchy) *Result {
 	// facts nothing would consume. This keeps reflection resolution
 	// effectively free on reflection-free programs.
 	if !hasReflection(h) {
-		return res
+		return res, nil
 	}
 	a := newAnalysis(ctx, h)
 	a.run()
 	if a.truncated {
 		res.Truncated = true
-		return res
+		return res, a
 	}
-	// One more stable pass per method, collecting the classification at
-	// each reflective site under its final entry state. A statement can
-	// be visited more than once while the intraprocedural worklist
-	// converges; the last visit sees the full joined state, so later
-	// classifications overwrite earlier ones.
-	for _, m := range a.methods {
-		perStmt := make(map[ir.Stmt]Site)
-		var order []ir.Stmt
-		a.analyzeMethod(m, func(s ir.Stmt, call *ir.InvokeExpr, st state) {
-			site, ok := a.classify(m, s, call, st)
-			if !ok {
-				return
+	// One more stable pass per reflective method, collecting the
+	// classification at each reflective site under its final entry state.
+	// A statement can be visited more than once while the intraprocedural
+	// worklist converges; the last visit sees the full joined state, so
+	// later classifications overwrite earlier ones.
+	for _, mi := range a.methods {
+		if !mi.reflective {
+			continue
+		}
+		byIndex := make([]Site, len(mi.m.Body()))
+		a.analyzeMethod(mi, func(s ir.Stmt, call *ir.InvokeExpr, st state) {
+			if site, ok := a.classify(mi.m, s, call, st); ok {
+				byIndex[s.Index()] = site
 			}
-			if _, seen := perStmt[s]; !seen {
-				order = append(order, s)
-			}
-			perStmt[s] = site
 		})
 		if a.truncated {
 			res.Truncated = true
-			return res
+			return res, a
 		}
-		sort.Slice(order, func(i, j int) bool { return order[i].Index() < order[j].Index() })
-		for _, s := range order {
-			res.Sites = append(res.Sites, perStmt[s])
+		for _, site := range byIndex {
+			if site.Stmt != nil {
+				res.Sites = append(res.Sites, site)
+			}
 		}
 	}
 	for _, s := range res.Sites {
@@ -201,27 +205,30 @@ func Analyze(ctx context.Context, h ir.Hierarchy) *Result {
 			res.Report.ResolvedSites++
 		}
 	}
-	return res
+	return res, a
 }
 
-// hasReflection reports whether any analyzed body contains a reflective
-// call the classification pass would act on. getName alone does not
-// count: it produces a fact but never a site, so a program whose only
-// reflective API use is Class.getName still has nothing to classify.
+// classified reports whether call is a reflective call the
+// classification pass acts on. getName does not count: it produces a
+// fact but never a site.
+func classified(call *ir.InvokeExpr) bool {
+	k, _ := reflectiveAPI(call)
+	return k != apiNone && k != apiGetName
+}
+
+// hasReflection reports whether any analyzed body contains a classified
+// reflective call, so a program whose only reflective API use is
+// Class.getName still has nothing to classify. The shared framework
+// classes have no bodies and are skipped.
 func hasReflection(h ir.Hierarchy) bool {
 	for _, c := range h.Classes() {
-		if c.Synthetic || c.Interface {
+		if c.Synthetic || c.Interface || c.Shared() {
 			continue
 		}
 		for _, m := range c.Methods() {
-			if m.Abstract() {
-				continue
-			}
 			for _, s := range m.Body() {
-				if call := ir.CallOf(s); call != nil {
-					if k, _ := reflectiveAPI(call); k != apiNone && k != apiGetName {
-						return true
-					}
+				if call := ir.CallOf(s); call != nil && classified(call) {
+					return true
 				}
 			}
 		}
@@ -251,7 +258,7 @@ func (a *analysis) classify(m *ir.Method, s ir.Stmt, call *ir.InvokeExpr, st sta
 	case apiLoadClass:
 		return unresolved(DynamicLoading)
 	case apiForName:
-		f := operand(st, call.Args[0])
+		f := a.operand(st, call.Args[0])
 		if f.k != strs {
 			return unresolved(NonConstantString)
 		}
@@ -262,14 +269,14 @@ func (a *analysis) classify(m *ir.Method, s ir.Stmt, call *ir.InvokeExpr, st sta
 		}
 		return site, true
 	case apiGetMethod:
-		cf := st[call.Base]
-		nf := operand(st, call.Args[0])
+		cf := st[a.slot(call.Base)]
+		nf := a.operand(st, call.Args[0])
 		if cf.k != classes || nf.k != strs || len(cf.set)*len(nf.set) > maxSet {
 			return unresolved(NonConstantString)
 		}
 		return site, true
 	case apiNewInstance:
-		cf := st[call.Base]
+		cf := st[a.slot(call.Base)]
 		if cf.k != classes {
 			return unresolved(NonConstantString)
 		}
@@ -282,7 +289,7 @@ func (a *analysis) classify(m *ir.Method, s ir.Stmt, call *ir.InvokeExpr, st sta
 		}
 		return site, true
 	case apiInvoke:
-		mf := st[call.Base]
+		mf := st[a.slot(call.Base)]
 		if mf.k != methods {
 			return unresolved(NonConstantString)
 		}

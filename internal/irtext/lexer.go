@@ -202,19 +202,23 @@ func (l *lexer) escapedString(line, end int) (string, error) {
 	l.pos = end
 	for l.pos < len(l.src) && l.src[l.pos] != '"' {
 		ch := l.src[l.pos]
-		if ch == '\\' && l.pos+1 < len(l.src) {
+		escaped := ch == '\\' && l.pos+1 < len(l.src)
+		if escaped {
 			l.pos++
-			switch l.src[l.pos] {
+			ch = l.src[l.pos]
+		}
+		// A raw line break ends the literal early, escaped or not; the
+		// \n escape decodes to one only here.
+		if ch == '\n' {
+			return "", l.errf(line, "unterminated string literal")
+		}
+		if escaped {
+			switch ch {
 			case 'n':
 				ch = '\n'
 			case 't':
 				ch = '\t'
-			default:
-				ch = l.src[l.pos]
 			}
-		}
-		if ch == '\n' {
-			return "", l.errf(line, "unterminated string literal")
 		}
 		sb.WriteByte(ch)
 		l.pos++

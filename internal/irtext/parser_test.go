@@ -341,3 +341,45 @@ class A implements J {
 		t.Error("interface method should resolve as abstract")
 	}
 }
+
+func TestStringEscapesRoundTrip(t *testing.T) {
+	// A constant holding a newline or a tab is written with the \n and \t
+	// escapes (ir.Const prints with %q) and must parse back to itself.
+	const want = "line1\nline2\tcol"
+	parseConst := func(src string) string {
+		t.Helper()
+		prog := ir.NewProgram()
+		if err := ParseInto(prog, src, "t.ir"); err != nil {
+			t.Fatalf("%v\n%s", err, src)
+		}
+		if err := prog.Link(); err != nil {
+			t.Fatal(err)
+		}
+		as := prog.Class("A").Method("m", 0).Body()[0].(*ir.AssignStmt)
+		return as.RHS.(*ir.Const).Str
+	}
+	src := `class A { method m(): void { x = "line1\nline2\tcol"  return } }`
+	if got := parseConst(src); got != want {
+		t.Fatalf("parsed %q, want %q", got, want)
+	}
+	prog, err := ParseProgram(src, "t.ir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := ir.PrintClass(prog.Class("A"))
+	if got := parseConst(printed); got != want {
+		t.Fatalf("reparsed %q, want %q from\n%s", got, want, printed)
+	}
+}
+
+func TestRawLineBreakInStringLiteral(t *testing.T) {
+	// A raw line break inside a literal, escaped or not, is still an
+	// unterminated literal reported at the literal's line.
+	for _, lit := range []string{"\"a\nb\"", "\"a\\\nb\""} {
+		src := "class A {\n  method m(): void {\n    x = " + lit + "\n    return\n  }\n}"
+		_, err := ParseProgram(src, "pos.ir")
+		if err == nil || !strings.Contains(err.Error(), "unterminated string literal") || !strings.Contains(err.Error(), "pos.ir:3") {
+			t.Errorf("literal %q: error %v, want an unterminated string literal at pos.ir:3", lit, err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package irtext
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -167,7 +168,18 @@ func TestQuickStringLiterals(t *testing.T) {
 		}
 		return tok.text == s
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	// Draw from a small alphabet so line breaks, tabs, quotes and
+	// backslashes, the characters that need escapes, appear in most
+	// strings.
+	const alphabet = "ab \n\t\"\\"
+	gen := func(args []reflect.Value, r *rand.Rand) {
+		b := make([]byte, r.Intn(12))
+		for i := range b {
+			b[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		args[0] = reflect.ValueOf(string(b))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Values: gen}); err != nil {
 		t.Error(err)
 	}
 }

@@ -47,6 +47,9 @@ go test -fuzz FuzzParseAndVerify -fuzztime 10s -run '^$' ./internal/irlint/
 echo "==> fuzz smoke (parser, seeded with InsecureBank and an appgen Stress app)"
 go test -fuzz FuzzParse -fuzztime 10s -run '^$' ./internal/irtext/
 
+echo "==> fuzz smoke (constant propagation, seeded with an appgen Reflection app and the DroidBench reflection cases)"
+go test -fuzz FuzzAnalyze -fuzztime 10s -run '^$' ./internal/constprop/
+
 echo "==> trace smoke (flowdroid -insecurebank -trace) + checktrace"
 trace_file=$(mktemp)
 # InsecureBank finds leaks, so exit 1 is the expected outcome here; any
