@@ -305,7 +305,7 @@ func newAnalysis(ctx context.Context, h ir.Hierarchy) *analysis {
 		fieldFacts: make(map[*ir.Field]fact),
 		targets:    make(map[*ir.InvokeExpr][]*ir.Method),
 	}
-	slotCount := 0
+	interFacts := 0
 	for _, c := range h.Classes() {
 		// Shared classes are the frozen framework stubs, which have no
 		// bodies.
@@ -319,13 +319,13 @@ func newAnalysis(ctx context.Context, h ir.Hierarchy) *analysis {
 			mi := &method{m: m, nlocals: a.number(m), paramIn: make([]fact, len(m.Params))}
 			a.methods = append(a.methods, mi)
 			a.byIR[m] = mi
-			slotCount += len(m.Params) + 1
+			interFacts += len(m.Params) + 1
 		}
 	}
-	// Every round but the last raises some paramIn or retOut slot, and a
-	// slot climbs a chain of maxSet+2 values (bot, one to maxSet
+	// Every round but the last raises some paramIn or retOut fact, and a
+	// fact climbs a chain of maxSet+2 values (bot, one to maxSet
 	// constants, top), so it rises fewer than maxSet+2 times.
-	a.maxRounds = (maxSet+2)*slotCount + 1
+	a.maxRounds = (maxSet+2)*interFacts + 1
 	a.prescan()
 	return a
 }

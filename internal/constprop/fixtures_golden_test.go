@@ -117,7 +117,7 @@ func writeSites(sb *strings.Builder, name string, res *constprop.Result) {
 
 func TestFixturesGolden(t *testing.T) {
 	var got strings.Builder
-	maxRounds, maxName := 0, ""
+	most, mostName := 0, ""
 	for _, f := range shippedFixtures() {
 		prog, err := f.load()
 		if err != nil {
@@ -127,12 +127,12 @@ func TestFixturesGolden(t *testing.T) {
 		if res.Truncated {
 			t.Fatalf("%s: analysis truncated without a deadline", f.name)
 		}
-		if rounds > maxRounds {
-			maxRounds, maxName = rounds, f.name
+		if rounds > most {
+			most, mostName = rounds, f.name
 		}
 		writeSites(&got, f.name, res)
 	}
-	t.Logf("most fixpoint rounds: %d (%s)", maxRounds, maxName)
+	t.Logf("most fixpoint rounds: %d (%s)", most, mostName)
 	if os.Getenv("UPDATE_GOLDEN") == "1" {
 		if err := os.WriteFile(sitesGolden, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
