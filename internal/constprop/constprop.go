@@ -266,8 +266,10 @@ type analysis struct {
 
 	// slots numbers each analyzed method's locals densely, so a state is
 	// a slice. The numbering lives here rather than on ir.Local because
-	// later passes (lifecycle, materialization) add locals.
-	slots map[*ir.Local]int32
+	// later passes (lifecycle, materialization) add locals. cur is the
+	// method analyzeMethod is running; slot resolves locals against it.
+	slots map[*ir.Local]slotRef
+	cur   *method
 
 	// fieldFacts holds the constant for fields with exactly one writer
 	// program-wide whose written value is a string literal; every other
@@ -301,7 +303,7 @@ func newAnalysis(ctx context.Context, h ir.Hierarchy) *analysis {
 		h:          h,
 		res:        callgraph.ResolverFor(h),
 		byIR:       make(map[*ir.Method]*method),
-		slots:      make(map[*ir.Local]int32),
+		slots:      make(map[*ir.Local]slotRef),
 		fieldFacts: make(map[*ir.Field]fact),
 		targets:    make(map[*ir.InvokeExpr][]*ir.Method),
 	}
@@ -316,7 +318,8 @@ func newAnalysis(ctx context.Context, h ir.Hierarchy) *analysis {
 			if m.Abstract() {
 				continue
 			}
-			mi := &method{m: m, nlocals: a.number(m), paramIn: make([]fact, len(m.Params))}
+			mi := &method{m: m, paramIn: make([]fact, len(m.Params))}
+			mi.nlocals = a.number(mi)
 			a.methods = append(a.methods, mi)
 			a.byIR[m] = mi
 			interFacts += len(m.Params) + 1
@@ -330,16 +333,25 @@ func newAnalysis(ctx context.Context, h ir.Hierarchy) *analysis {
 	return a
 }
 
-// number gives m's locals, receiver and parameters their slots and
-// returns how many there are.
-func (a *analysis) number(m *ir.Method) int {
+// slotRef is a numbered local's method and its index in that method's
+// states.
+type slotRef struct {
+	owner *method
+	i     int32
+}
+
+// number gives mi's locals, receiver and parameters their slots and
+// returns how many there are. A local some earlier method already owns
+// stays with that method.
+func (a *analysis) number(mi *method) int {
 	n := 0
 	add := func(l *ir.Local) {
 		if _, ok := a.slots[l]; l != nil && !ok {
-			a.slots[l] = int32(n)
+			a.slots[l] = slotRef{owner: mi, i: int32(n)}
 			n++
 		}
 	}
+	m := mi.m
 	for _, l := range m.Locals() {
 		add(l)
 	}
@@ -350,13 +362,34 @@ func (a *analysis) number(m *ir.Method) int {
 	return n
 }
 
-// slot is l's index in the states of its method.
+// slot is l's index in the current method's states, or -1 if that
+// method does not own l. The parser never builds such a local, but
+// programmatic IR can reference one that is foreign to the method's
+// table or shared with another method (irlint's duplicates.local).
 func (a *analysis) slot(l *ir.Local) int {
-	i, ok := a.slots[l]
-	if !ok {
-		panic("constprop: local " + l.Name + " was not numbered")
+	if r, ok := a.slots[l]; ok && r.owner == a.cur {
+		return int(r.i)
 	}
-	return int(i)
+	return -1
+}
+
+// get is l's fact under st; a local the method does not own is top.
+func (a *analysis) get(st state, l *ir.Local) fact {
+	if i := a.slot(l); i >= 0 {
+		return st[i]
+	}
+	return topFact
+}
+
+// set binds l to f in st. A local the method does not own keeps top, and
+// a builder stored there escapes the tracked state, so its aliases drop
+// to top as on a heap write.
+func (a *analysis) set(st state, l *ir.Local, f fact) {
+	if i := a.slot(l); i >= 0 {
+		st[i] = f
+	} else {
+		degradeBuilder(st, f)
+	}
 }
 
 // prescan classifies externally-callable and reflective methods, records
@@ -449,15 +482,15 @@ func (a *analysis) entryState(mi *method, st state) {
 	clear(st)
 	m := mi.m
 	if m.This != nil {
-		st[a.slot(m.This)] = topFact
+		a.set(st, m.This, topFact)
 	}
 	for i, p := range m.Params {
 		if mi.external {
-			st[a.slot(p)] = topFact
+			a.set(st, p, topFact)
 		} else {
 			// Starts at bot before any caller was analyzed and only ever
 			// rises — the join over observed call sites is monotone.
-			st[a.slot(p)] = mi.paramIn[i]
+			a.set(st, p, mi.paramIn[i])
 		}
 	}
 }
@@ -524,6 +557,7 @@ func (a *analysis) analyzeMethod(mi *method, visit func(s ir.Stmt, call *ir.Invo
 	if len(body) == 0 {
 		return false
 	}
+	a.cur = mi
 	n := mi.nlocals
 	if cap(a.in) < len(body) {
 		a.in = make([]state, len(body))
@@ -594,7 +628,7 @@ func (a *analysis) analyzeMethod(mi *method, visit func(s ir.Stmt, call *ir.Invo
 func (a *analysis) operand(st state, v ir.Value) fact {
 	switch v := v.(type) {
 	case *ir.Local:
-		return st[a.slot(v)]
+		return a.get(st, v)
 	case *ir.Const:
 		if v.Kind == ir.StringConst {
 			return strsOf(v.Str)
@@ -631,7 +665,7 @@ func (a *analysis) transfer(mi *method, s ir.Stmt, st state) bool {
 			// Writing a tracked builder into the heap lets unseen code
 			// mutate it; drop every alias of its origin to stay sound.
 			if src, ok := stm.RHS.(*ir.Local); ok {
-				degradeBuilder(st, st[a.slot(src)])
+				degradeBuilder(st, a.get(st, src))
 			}
 			return false
 		}
@@ -644,10 +678,10 @@ func (a *analysis) transfer(mi *method, s ir.Stmt, st state) bool {
 				f = topFact
 			}
 		case *ir.Local:
-			f = st[a.slot(rhs)]
+			f = a.get(st, rhs)
 		case *ir.Cast:
 			if x, ok := rhs.X.(*ir.Local); ok {
-				f = st[a.slot(x)]
+				f = a.get(st, x)
 			} else {
 				f = topFact
 			}
@@ -670,7 +704,7 @@ func (a *analysis) transfer(mi *method, s ir.Stmt, st state) bool {
 		default:
 			f = topFact
 		}
-		st[a.slot(lhs)] = f
+		a.set(st, lhs, f)
 	}
 	return false
 }
@@ -732,7 +766,7 @@ func setBuilder(st state, origin ir.Stmt, contents fact) {
 func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local, st state) bool {
 	setResult := func(f fact) {
 		if result != nil {
-			st[a.slot(result)] = f
+			a.set(st, result, f)
 		}
 	}
 
@@ -740,13 +774,12 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 	// a builder fact (not the declared type — a builder that escaped is
 	// already top and falls through to the generic path).
 	if call.Base != nil {
-		base := a.slot(call.Base)
-		if bf := st[base]; bf.k == builder {
+		if bf := a.get(st, call.Base); bf.k == builder {
 			switch {
 			case call.Ref.Name == "append" && len(call.Args) == 1:
 				contents := concat(fact{k: strs, set: bf.set}, a.operand(st, call.Args[0]))
 				setBuilder(st, bf.origin, contents)
-				setResult(st[base])
+				setResult(a.get(st, call.Base))
 			case call.Ref.Name == "toString" && len(call.Args) == 0:
 				setResult(fact{k: strs, set: bf.set})
 			case call.Ref.Name == "init":
@@ -776,7 +809,7 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 		}
 		return false
 	case apiGetMethod:
-		cf := st[a.slot(call.Base)]
+		cf := a.get(st, call.Base)
 		nf := a.operand(st, call.Args[0])
 		switch {
 		case cf.k == classes && nf.k == strs && len(cf.set)*len(nf.set) <= maxSet:
@@ -794,7 +827,7 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 		}
 		return false
 	case apiGetName:
-		switch cf := st[a.slot(call.Base)]; cf.k {
+		switch cf := a.get(st, call.Base); cf.k {
 		case classes:
 			setResult(fact{k: strs, set: cf.set})
 		case bot:
@@ -815,7 +848,7 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 	// escapes.
 	for _, arg := range call.Args {
 		if l, ok := arg.(*ir.Local); ok {
-			degradeBuilder(st, st[a.slot(l)])
+			degradeBuilder(st, a.get(st, l))
 		}
 	}
 	changed := false

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"flowdroid/internal/ir"
 	"flowdroid/internal/scene"
 )
 
@@ -116,5 +117,64 @@ class app.Names {
 	}
 	if w := "java.lang.Class.forName [] <nil>|java.lang.Class.newInstance [app.A] <nil>"; strings.Join(got, "|") != w {
 		t.Errorf("sites = %q, want %q", strings.Join(got, "|"), w)
+	}
+}
+
+func TestForeignLocalsAreTop(t *testing.T) {
+	// Programmatic IR can reference a local outside the method's table
+	// (irlint's duplicates.local). The pass reads such a local as top,
+	// and a builder stored into one escapes: without that, sb would still
+	// read "app.A" after the append through t.
+	src := `
+class app.A { method init(): void { return } }
+class app.Main {
+  static method run(): void {
+    sb = new java.lang.StringBuilder()
+    sb.append("app.A")
+    t = sb
+    t.append("x")
+    cn = sb.toString()
+    c = java.lang.Class.forName(cn)
+    return
+  }
+  static method other(): void {
+    n = "app.A"
+    return
+  }
+}
+`
+	forName := func(prog *ir.Program) string {
+		res := Analyze(context.Background(), scene.New(prog))
+		if len(res.Sites) != 1 || res.Sites[0].Unresolved == nil {
+			t.Fatalf("sites = %+v, want one unresolved forName site", res.Sites)
+		}
+		return string(res.Sites[0].Unresolved.Reason)
+	}
+	if got := forName(parse(t, src)); got != string(UnknownClass) {
+		t.Errorf("parsed program: forName unresolved as %s, want %s", got, UnknownClass)
+	}
+
+	prog := parse(t, src)
+	body := prog.Class("app.Main").Method("run", 0).Body()
+	foreign := &ir.Local{Name: "t"}
+	body[3].(*ir.AssignStmt).LHS = foreign
+	body[4].(*ir.InvokeStmt).Call.Base = foreign
+	if got := forName(prog); got != string(NonConstantString) {
+		t.Errorf("builder stored in a foreign local: forName unresolved as %s, want %s", got, NonConstantString)
+	}
+
+	// A local of another method, holding "app.A" there, is top here.
+	prog = parse(t, src)
+	shared := prog.Class("app.Main").Method("other", 0).LookupLocal("n")
+	prog.Class("app.Main").Method("run", 0).Body()[6].(*ir.AssignStmt).RHS.(*ir.InvokeExpr).Args[0] = shared
+	if got := forName(prog); got != string(NonConstantString) {
+		t.Errorf("local shared with another method: forName unresolved as %s, want %s", got, NonConstantString)
+	}
+
+	// irlint's foreign-local program analyzes without a site.
+	prog = parse(t, "class A {\n  method m(): void {\n    x = 1\n    return\n  }\n}")
+	prog.Class("A").Method("m", 0).Body()[0].(*ir.AssignStmt).LHS = &ir.Local{Name: "zz"}
+	if res := Analyze(context.Background(), scene.New(prog)); len(res.Sites) != 0 {
+		t.Errorf("sites = %+v, want none", res.Sites)
 	}
 }

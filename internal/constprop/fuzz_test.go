@@ -45,8 +45,7 @@ func siteString(res *constprop.Result) string {
 }
 
 // FuzzAnalyze runs constant propagation over arbitrary programs. Any
-// source that parses and links must analyze without panicking (which
-// includes a statement naming a local the pass did not number) and give
+// source that parses and links must analyze without panicking and give
 // the same sites on a second run. The corpus is seeded with an appgen
 // Reflection app and the DroidBench reflection cases.
 func FuzzAnalyze(f *testing.F) {

@@ -240,10 +240,10 @@ func hasReflection(h ir.Hierarchy) bool {
 // returning the Site record and whether the statement is reflective at
 // all.
 func (a *analysis) classify(m *ir.Method, s ir.Stmt, call *ir.InvokeExpr, st state) (Site, bool) {
-	kind, name := reflectiveAPI(call)
-	if kind == apiNone || kind == apiGetName {
+	if !classified(call) {
 		return Site{}, false
 	}
+	kind, name := reflectiveAPI(call)
 	site := Site{Stmt: s, In: m, API: name}
 	unresolved := func(r UnresolvedReason) (Site, bool) {
 		site.Unresolved = &UnresolvedSite{
@@ -269,14 +269,14 @@ func (a *analysis) classify(m *ir.Method, s ir.Stmt, call *ir.InvokeExpr, st sta
 		}
 		return site, true
 	case apiGetMethod:
-		cf := st[a.slot(call.Base)]
+		cf := a.get(st, call.Base)
 		nf := a.operand(st, call.Args[0])
 		if cf.k != classes || nf.k != strs || len(cf.set)*len(nf.set) > maxSet {
 			return unresolved(NonConstantString)
 		}
 		return site, true
 	case apiNewInstance:
-		cf := st[a.slot(call.Base)]
+		cf := a.get(st, call.Base)
 		if cf.k != classes {
 			return unresolved(NonConstantString)
 		}
@@ -289,7 +289,7 @@ func (a *analysis) classify(m *ir.Method, s ir.Stmt, call *ir.InvokeExpr, st sta
 		}
 		return site, true
 	case apiInvoke:
-		mf := st[a.slot(call.Base)]
+		mf := a.get(st, call.Base)
 		if mf.k != methods {
 			return unresolved(NonConstantString)
 		}

@@ -168,16 +168,24 @@ func TestQuickStringLiterals(t *testing.T) {
 		}
 		return tok.text == s
 	}
-	// Draw from a small alphabet so line breaks, tabs, quotes and
-	// backslashes, the characters that need escapes, appear in most
-	// strings.
-	const alphabet = "ab \n\t\"\\"
+	// Arbitrary Unicode strings, from quick's default generator.
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	// The same domain with the characters that need escapes (line
+	// breaks, tabs, quotes, backslashes) drawn at half the positions,
+	// so most strings carry several of them.
+	const escapes = "\n\t\"\\"
 	gen := func(args []reflect.Value, r *rand.Rand) {
-		b := make([]byte, r.Intn(12))
-		for i := range b {
-			b[i] = alphabet[r.Intn(len(alphabet))]
+		var b strings.Builder
+		for n := r.Intn(50); n > 0; n-- {
+			if r.Intn(2) == 0 {
+				b.WriteByte(escapes[r.Intn(len(escapes))])
+			} else {
+				b.WriteRune(rune(r.Int31n(0x10ffff)))
+			}
 		}
-		args[0] = reflect.ValueOf(string(b))
+		args[0] = reflect.ValueOf(b.String())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Values: gen}); err != nil {
 		t.Error(err)
