@@ -7,7 +7,9 @@ package callgraph
 
 import (
 	"context"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"flowdroid/internal/ir"
@@ -144,17 +146,60 @@ func callsIn(m *ir.Method) []ir.Stmt {
 // layer keeps one per program and hands it to every phase.
 type Resolver struct {
 	h ir.Hierarchy
-	// nameIndex maps (name, nargs) to all concrete declarations, for the
-	// fallback when no declared type is available.
-	nameIndex map[nameKey][]*ir.Method
+	// names index every class's methods by (name, nargs), for the
+	// fallback when no declared type is available. The scene layer passes
+	// a shared index over the frozen framework plus one over the app's
+	// own classes.
+	names []*NameIndex
 
 	mu        sync.Mutex
 	virtCache map[virtKey][]*ir.Method
 }
 
-type nameKey struct {
-	name  string
-	nargs int
+// NameIndex finds every method declared under a name and arity. It is
+// read-only once built, so one index over a frozen program can serve
+// every resolver concurrently.
+type NameIndex struct {
+	methods []*ir.Method // by name, arity, then class name
+}
+
+// IndexNames builds the name index over classes.
+func IndexNames(classes []*ir.Class) *NameIndex {
+	n := 0
+	for _, c := range classes {
+		n += len(c.Methods())
+	}
+	x := &NameIndex{methods: make([]*ir.Method, 0, n)}
+	for _, c := range classes {
+		x.methods = append(x.methods, c.Methods()...)
+	}
+	slices.SortFunc(x.methods, compareByName)
+	return x
+}
+
+// compareByName orders methods by name, arity, then class name.
+func compareByName(a, b *ir.Method) int {
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
+	}
+	if c := len(a.Params) - len(b.Params); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Class.Name, b.Class.Name)
+}
+
+// Named returns the indexed methods called name with nargs parameters.
+// The slice is shared and must not be mutated.
+func (x *NameIndex) Named(name string, nargs int) []*ir.Method {
+	i := sort.Search(len(x.methods), func(i int) bool {
+		m := x.methods[i]
+		return m.Name > name || m.Name == name && len(m.Params) >= nargs
+	})
+	j := i
+	for j < len(x.methods) && x.methods[j].Name == name && len(x.methods[j].Params) == nargs {
+		j++
+	}
+	return x.methods[i:j:j]
 }
 
 // virtKey identifies a virtual dispatch question: the declared receiver
@@ -171,18 +216,14 @@ type virtKey struct {
 // member lookups O(1); passing *ir.Program preserves the historical
 // walk-per-query behaviour.
 func NewResolver(h ir.Hierarchy) *Resolver {
-	r := &Resolver{
-		h:         h,
-		nameIndex: make(map[nameKey][]*ir.Method),
-		virtCache: make(map[virtKey][]*ir.Method),
-	}
-	for _, c := range h.Classes() {
-		for _, m := range c.Methods() {
-			k := nameKey{m.Name, len(m.Params)}
-			r.nameIndex[k] = append(r.nameIndex[k], m)
-		}
-	}
-	return r
+	return NewResolverOver(h, IndexNames(h.Classes()))
+}
+
+// NewResolverOver builds a resolver over h whose name-based fallback
+// reads the given indexes, which together must cover every class of h
+// exactly once. The indexes are only read, so they may be shared.
+func NewResolverOver(h ir.Hierarchy, names ...*NameIndex) *Resolver {
+	return &Resolver{h: h, names: names, virtCache: make(map[virtKey][]*ir.Method)}
 }
 
 // ResolverProvider is implemented by program models that keep a shared,
@@ -246,19 +287,32 @@ func (r *Resolver) VirtualTargets(e *ir.InvokeExpr) []*ir.Method {
 		}
 	}
 	if len(targets) == 0 {
-		for _, m := range r.nameIndex[nameKey{e.Ref.Name, e.Ref.NArgs}] {
-			targets[m] = true
+		for _, x := range r.names {
+			for _, m := range x.Named(e.Ref.Name, e.Ref.NArgs) {
+				targets[m] = true
+			}
 		}
 	}
-	out := make([]*ir.Method, 0, len(targets))
+	// Sort by rendered signature, rendering each once. Signatures are
+	// unique within a program, so the order is total.
+	keyed := make([]keyedMethod, 0, len(targets))
 	for m := range targets {
-		out = append(out, m)
+		keyed = append(keyed, keyedMethod{m.String(), m})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(keyed, func(a, b keyedMethod) int { return strings.Compare(a.key, b.key) })
+	out := make([]*ir.Method, len(keyed))
+	for i, km := range keyed {
+		out[i] = km.m
+	}
 	r.mu.Lock()
 	r.virtCache[k] = out
 	r.mu.Unlock()
 	return out
+}
+
+type keyedMethod struct {
+	key string
+	m   *ir.Method
 }
 
 // TargetsOf resolves all possible targets of an invocation with CHA.

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -35,6 +36,7 @@ type Class struct {
 
 	fields  map[string]*Field
 	methods map[methodKey]*Method
+	sorted  []*Method // methods in name, then arity, order; kept by AddMethod
 	shared  bool
 }
 
@@ -97,7 +99,26 @@ func (c *Class) AddMethod(m *Method) error {
 	}
 	m.Class = c
 	c.methods[k] = m
+	i := sort.Search(len(c.sorted), func(i int) bool { return !methodLess(c.sorted[i], m) })
+	c.sorted = insertAt(c.sorted, i, m)
 	return nil
+}
+
+// insertAt inserts v at index i of s without writing to any element
+// s already holds, so slices handed out earlier keep their contents.
+func insertAt[T any](s []T, i int, v T) []T {
+	if i == len(s) {
+		return append(s, v)
+	}
+	return slices.Insert(s[:len(s):len(s)], i, v)
+}
+
+// methodLess orders methods by name, then arity.
+func methodLess(a, b *Method) bool {
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	return len(a.Params) < len(b.Params)
 }
 
 // Method returns the method declared directly on this class with the given
@@ -109,30 +130,21 @@ func (c *Class) Method(name string, nargs int) *Method {
 // MethodsNamed returns all methods declared on this class with the given
 // name, regardless of arity, in arity order.
 func (c *Class) MethodsNamed(name string) []*Method {
-	var out []*Method
-	for k, m := range c.methods {
-		if k.name == name {
-			out = append(out, m)
-		}
+	i := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i].Name >= name })
+	j := i
+	for j < len(c.sorted) && c.sorted[j].Name == name {
+		j++
 	}
-	sort.Slice(out, func(i, j int) bool { return len(out[i].Params) < len(out[j].Params) })
-	return out
+	if i == j {
+		return nil
+	}
+	return slices.Clone(c.sorted[i:j])
 }
 
-// Methods returns the declared methods sorted by name then arity.
-func (c *Class) Methods() []*Method {
-	out := make([]*Method, 0, len(c.methods))
-	for _, m := range c.methods {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return len(out[i].Params) < len(out[j].Params)
-	})
-	return out
-}
+// Methods returns the declared methods sorted by name then arity. The
+// slice is the class's own, kept sorted as methods are added: callers
+// must not mutate it. A later AddMethod leaves it unchanged.
+func (c *Class) Methods() []*Method { return c.sorted }
 
 // Method is a method declaration with an optional body. Framework stubs
 // have no body (Abstract reports true); the taint analysis treats calls to

@@ -11,10 +11,15 @@ import "sync/atomic"
 //
 // Implementations must agree with *Program's semantics exactly; the
 // scene package's tests cross-check the two on adversarial hierarchies.
+//
+// Slices a Hierarchy returns may be shared, and so may each class's
+// Methods(): a frozen framework class's method list is read by every
+// program in the process. Callers must not mutate any of them.
 type Hierarchy interface {
 	// Class returns the named class, or nil.
 	Class(name string) *Class
-	// Classes returns all classes in name order.
+	// Classes returns all classes in name order. Callers must not mutate
+	// the returned slice.
 	Classes() []*Class
 	// SubtypeOf reports whether sub is the same as, a subclass of, or an
 	// implementor of super.

@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 )
 
@@ -11,6 +12,11 @@ import (
 // subtyping) happens against a Program.
 type Program struct {
 	classes map[string]*Class
+	// own lists, in name order, the classes this program added on top of
+	// base: every class when base is nil.
+	own    []*Class
+	base   *Program
+	frozen bool
 }
 
 // NewProgram returns an empty program.
@@ -20,29 +26,53 @@ func NewProgram() *Program {
 
 // Freeze marks every class of p as shared, so that forks of p can use
 // them read-only: AddField and AddMethod fail on a shared class, and Link
-// leaves shared classes alone. Link p before freezing it. Freeze must run
+// leaves shared classes alone. It also fixes p's class set: AddClass
+// fails on a frozen program, so an index built once over its classes
+// stays exact for every fork. Link p before freezing it. Freeze must run
 // before p is forked or published to other goroutines; it is not safe to
 // call concurrently with any use of p.
 func (p *Program) Freeze() {
 	for _, c := range p.classes {
 		c.shared = true
 	}
+	p.frozen = true
 }
 
 // Fork returns a new program that starts with p's classes. The class map
 // is copied, so a class added to the fork is invisible to p and to every
 // other fork; the classes themselves are the same pointers, so p should
-// be frozen first.
+// be frozen first. The fork's Base is p when p is frozen, and p's own
+// Base otherwise.
 func (p *Program) Fork() *Program {
-	return &Program{classes: maps.Clone(p.classes)}
+	f := &Program{classes: maps.Clone(p.classes), base: p}
+	if !p.frozen {
+		f.base, f.own = p.base, slices.Clone(p.own)
+	}
+	return f
 }
 
-// AddClass registers a class; it returns an error on duplicate names.
+// Base returns the frozen program p was forked from (through unfrozen
+// forks, the nearest frozen one), or nil. Every class of the base is a
+// class of p, under the same name and pointer.
+func (p *Program) Base() *Program { return p.base }
+
+// OwnClasses returns, in name order, the classes of p that its Base does
+// not have: every class when p has no base. The slice is p's own: callers
+// must not mutate it. A later AddClass leaves it unchanged.
+func (p *Program) OwnClasses() []*Class { return p.own }
+
+// AddClass registers a class; it returns an error on duplicate names or
+// if p is frozen.
 func (p *Program) AddClass(c *Class) error {
+	if p.frozen {
+		return fmt.Errorf("cannot add class %s to a frozen program", c.Name)
+	}
 	if _, dup := p.classes[c.Name]; dup {
 		return fmt.Errorf("duplicate class %s", c.Name)
 	}
 	p.classes[c.Name] = c
+	i := sort.Search(len(p.own), func(i int) bool { return p.own[i].Name >= c.Name })
+	p.own = insertAt(p.own, i, c)
 	return nil
 }
 

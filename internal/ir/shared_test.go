@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -77,4 +78,81 @@ func TestSharedClassRejectsMembers(t *testing.T) {
 	if base.Field("g") != nil || base.Method("put", 0) != nil {
 		t.Error("a rejected member was added anyway")
 	}
+}
+
+func TestForkRecordsBaseAndOwnClasses(t *testing.T) {
+	lib := frozenLib(t)
+	if err := lib.AddClass(NewClass("late.C", "")); err == nil || !strings.Contains(err.Error(), "frozen") {
+		t.Errorf("AddClass on a frozen program: got %v, want a frozen-program error", err)
+	}
+	if lib.Base() != nil || len(lib.OwnClasses()) != 2 {
+		t.Errorf("a program with no base owns all of its classes; got base %v, %d own", lib.Base(), len(lib.OwnClasses()))
+	}
+
+	a := lib.Fork()
+	NewClassIn(a, "app.Z", "lib.Base")
+	NewClassIn(a, "app.A", "lib.Base")
+	own := a.OwnClasses()
+	if a.Base() != lib || classNames(own) != "app.A app.Z" {
+		t.Fatalf("fork: base %p (want %p), own %q", a.Base(), lib, classNames(own))
+	}
+	// A fork of an unfrozen fork keeps the frozen base and copies what
+	// its parent owns; adding to either side leaves the other alone, and
+	// slices handed out earlier keep their contents.
+	b := a.Fork()
+	NewClassIn(b, "app.M", "")
+	NewClassIn(a, "app.B", "")
+	if b.Base() != lib || classNames(b.OwnClasses()) != "app.A app.M app.Z" {
+		t.Errorf("fork of a fork: base %p, own %q", b.Base(), classNames(b.OwnClasses()))
+	}
+	if classNames(a.OwnClasses()) != "app.A app.B app.Z" || classNames(own) != "app.A app.Z" {
+		t.Errorf("own classes after adds: %q, earlier slice %q", classNames(a.OwnClasses()), classNames(own))
+	}
+}
+
+func TestMethodsStaySortedAndStable(t *testing.T) {
+	c := NewClass("app.C", "")
+	add := func(name string, nargs int) {
+		m := NewMethod(name, Void, true)
+		for range nargs {
+			m.Params = append(m.Params, &Local{Name: "p"})
+		}
+		if err := c.AddMethod(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add("run", 1)
+	add("b", 0)
+	add("run", 0)
+	before := c.Methods()
+	add("a", 2)
+	add("c", 0)
+	if got, want := methodNames(c.Methods()), "a/2 b/0 c/0 run/0 run/1"; got != want {
+		t.Errorf("Methods() = %s, want %s", got, want)
+	}
+	if got, want := methodNames(before), "b/0 run/0 run/1"; got != want {
+		t.Errorf("a slice handed out before AddMethod changed to %s, want %s", got, want)
+	}
+	if got, want := methodNames(c.MethodsNamed("run")), "run/0 run/1"; got != want {
+		t.Errorf("MethodsNamed(run) = %s, want %s", got, want)
+	}
+	if c.MethodsNamed("missing") != nil {
+		t.Error("MethodsNamed of an undeclared name is not nil")
+	}
+}
+
+func classNames(cs []*Class) string {
+	var names []string
+	for _, c := range cs {
+		names = append(names, c.Name)
+	}
+	return strings.Join(names, " ")
+}
+
+func methodNames(ms []*Method) string {
+	var names []string
+	for _, m := range ms {
+		names = append(names, fmt.Sprintf("%s/%d", m.Name, len(m.Params)))
+	}
+	return strings.Join(names, " ")
 }

@@ -259,7 +259,7 @@ func (g *generator) emitApplication() {
 // emitStaticInitializers invokes every app class's clinit at program
 // start, mirroring Soot's (unsound in general) placement.
 func (g *generator) emitStaticInitializers() {
-	for _, c := range g.app.Program.Classes() {
+	for _, c := range g.h.Classes() {
 		if c.Synthetic || c.Interface {
 			continue
 		}

@@ -3,8 +3,11 @@ package scene_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"flowdroid/internal/callgraph"
 	"flowdroid/internal/ir"
 	"flowdroid/internal/irtext"
 	"flowdroid/internal/scene"
@@ -206,68 +209,261 @@ func TestResolutionCacheConsistencyAfterRefresh(t *testing.T) {
 }
 
 // TestSceneMatchesProgramOnRandomHierarchies cross-checks every hierarchy
-// query against the uncached program on randomly generated class DAGs
-// with interfaces, dangling supertype names, and scattered members.
+// query and CHA dispatch against an uncached program on randomly
+// generated class graphs with interfaces, dangling supertype names, and
+// scattered members. Half the trials put the classes in one program; the
+// other half split them into a frozen base, an app fork over it and
+// classes the fork gains before a Refresh. The split trials draw the
+// adversarial cases of a shared base index: base classes that name
+// supertypes only the app declares, and, in every third trial, cycles
+// that cross the base/app boundary.
 func TestSceneMatchesProgramOnRandomHierarchies(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		prog := ir.NewProgram()
-		n := 3 + rng.Intn(12)
-		names := make([]string, n)
-		for i := range names {
-			names[i] = fmt.Sprintf("C%d", i)
+	for trial := 0; trial < 50; trial++ {
+		forked := trial%2 == 1
+		cyclic := forked && trial%3 == 0
+		nb, na, nl := 3+rng.Intn(12), 0, 0
+		if forked {
+			na, nl = 1+rng.Intn(5), 1+rng.Intn(4)
 		}
-		// Classes only reference higher-numbered names (a DAG) plus the
-		// occasional dangling name that is never declared.
-		for i := 0; i < n; i++ {
+		var names []string
+		for i := range nb + na + nl {
+			switch {
+			case i < nb:
+				names = append(names, fmt.Sprintf("B%d", i))
+			case i < nb+na:
+				names = append(names, fmt.Sprintf("A%d", i-nb))
+			default:
+				names = append(names, fmt.Sprintf("L%d", i-nb-na))
+			}
+		}
+		// An acyclic trial only points from a class to higher-ranked
+		// names (a DAG), plus the occasional dangling name that is never
+		// declared. Ranks mix base and app names, so a base class may
+		// name a supertype only the app declares.
+		rank := rng.Perm(len(names))
+		if !forked {
+			for i := range rank {
+				rank[i] = i
+			}
+		}
+		target := func(i int) (string, bool) {
+			var above []string
+			for j, n := range names {
+				if cyclic || rank[j] > rank[i] {
+					above = append(above, n)
+				}
+			}
+			if len(above) == 0 {
+				return "", false
+			}
+			return above[rng.Intn(len(above))], true
+		}
+		classes := make([]*ir.Class, len(names))
+		for i, name := range names {
 			super := ""
-			switch pick := rng.Intn(4); {
-			case pick == 0 && i+1 < n:
-				super = names[i+1+rng.Intn(n-i-1)]
-			case pick == 1:
+			switch pick := rng.Intn(4); pick {
+			case 0:
+				super, _ = target(i)
+			case 1:
 				super = fmt.Sprintf("dangling.D%d", rng.Intn(3))
 			}
-			c := ir.NewClass(names[i], super)
+			c := ir.NewClass(name, super)
 			c.Interface = rng.Intn(3) == 0
-			for k := 0; k < rng.Intn(3) && i+1 < n; k++ {
-				c.Interfaces = append(c.Interfaces, names[i+1+rng.Intn(n-i-1)])
+			for k := 0; k < rng.Intn(3); k++ {
+				if in, ok := target(i); ok {
+					c.Interfaces = append(c.Interfaces, in)
+				}
 			}
 			if rng.Intn(2) == 0 {
-				m := ir.NewMethod(fmt.Sprintf("m%d", rng.Intn(3)), ir.Void, false)
-				if err := c.AddMethod(m); err != nil {
-					t.Fatal(err)
-				}
+				addMethod(t, c, fmt.Sprintf("m%d", rng.Intn(3)), rng.Intn(2))
 			}
 			if rng.Intn(2) == 0 {
 				if _, err := c.AddField(fmt.Sprintf("f%d", rng.Intn(3)), ir.Int, false); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := prog.AddClass(c); err != nil {
-				t.Fatal(err)
+			classes[i] = c
+		}
+		queries := append(append([]string{}, names...), "dangling.D0", "dangling.D1", "nowhere.X")
+		label := fmt.Sprintf("trial %d", trial)
+		if !forked {
+			prog := programOf(t, classes...)
+			checkAgainstProgram(t, label, scene.New(prog), prog, queries, true)
+			continue
+		}
+		base := programOf(t, classes[:nb]...)
+		base.Freeze()
+		prog := base.Fork()
+		addClasses(t, prog, classes[nb:nb+na]...)
+		sc := scene.New(prog)
+		checkAgainstProgram(t, label+" before Refresh", sc, programOf(t, classes[:nb+na]...), queries, !cyclic)
+
+		// The fork gains the late classes and its own classes gain
+		// members; Refresh must pick up both.
+		addClasses(t, prog, classes[nb+na:]...)
+		for _, c := range classes[nb : nb+na] {
+			if rng.Intn(2) == 0 {
+				addMethod(t, c, fmt.Sprintf("m%d", rng.Intn(3)), 2)
 			}
 		}
-		sc := scene.New(prog)
-		queries := append(append([]string{}, names...), "dangling.D0", "dangling.D1", "nowhere.X")
-		for _, sub := range queries {
-			for _, super := range queries {
-				if got, want := sc.SubtypeOf(sub, super), prog.SubtypeOf(sub, super); got != want {
-					t.Fatalf("trial %d: SubtypeOf(%s, %s): scene %v, program %v", trial, sub, super, got, want)
-				}
+		sc.Refresh()
+		checkAgainstProgram(t, label+" after Refresh", sc, programOf(t, classes...), queries, !cyclic)
+
+		// A second fork of the same base, with only the late classes, reads
+		// the same shared base index: the first fork left no trace in it.
+		other := base.Fork()
+		addClasses(t, other, classes[nb+na:]...)
+		flat := programOf(t, append(append([]*ir.Class{}, classes[:nb]...), classes[nb+na:]...)...)
+		checkAgainstProgram(t, label+" second fork", scene.New(other), flat, queries, !cyclic)
+	}
+}
+
+// TestOpenBase: a frozen class may name a supertype that only an app
+// declares. The shared base index must not treat the base as closed: in
+// the fork that declares the name, the base class gains the app class's
+// supertypes, while a fork that does not declare it still sees a dangling
+// name.
+func TestOpenBase(t *testing.T) {
+	root := ir.NewClass("lib.Root", "")
+	addMethod(t, root, "draw", 0)
+	widget := ir.NewClass("lib.Widget", "app.Missing")
+	button := ir.NewClass("lib.Button", "lib.Widget")
+	base := programOf(t, root, widget, button)
+	base.Freeze()
+
+	missing := ir.NewClass("app.Missing", "lib.Root")
+	missing.Interfaces = []string{"app.Marker"}
+	marker := ir.NewClass("app.Marker", "")
+	marker.Interface = true
+	prog := base.Fork()
+	addClasses(t, prog, missing, marker)
+	sc := scene.New(prog)
+	queries := []string{"lib.Root", "lib.Widget", "lib.Button", "app.Missing", "app.Marker", "nowhere.X"}
+	checkAgainstProgram(t, "open base", sc, programOf(t, root, widget, button, missing, marker), queries, true)
+	if !sc.SubtypeOf("lib.Button", "lib.Root") || !sc.SubtypeOf("lib.Widget", "app.Marker") {
+		t.Error("base classes did not gain the supertypes of the app class they name")
+	}
+	if got, want := fmt.Sprint(sc.SubtypesOf("lib.Root")), "[app.Missing lib.Button lib.Root lib.Widget]"; got != want {
+		t.Errorf("SubtypesOf(lib.Root) = %s, want %s", got, want)
+	}
+
+	closed := scene.New(base.Fork())
+	checkAgainstProgram(t, "closed fork", closed, programOf(t, root, widget, button), queries, true)
+	if closed.SubtypeOf("lib.Button", "lib.Root") || !closed.SubtypeOf("lib.Button", "app.Missing") {
+		t.Error("a fork that does not declare app.Missing saw another fork's hierarchy")
+	}
+}
+
+// TestCycleAcrossBaseAndApp: superclass and interface cycles that pass
+// through both a frozen base class and an app class must terminate and
+// agree with the program's cycle-guarded walk.
+func TestCycleAcrossBaseAndApp(t *testing.T) {
+	a := ir.NewClass("lib.A", "app.B")
+	i := ir.NewClass("lib.I", "")
+	i.Interface = true
+	i.Interfaces = []string{"app.J"}
+	base := programOf(t, a, i)
+	base.Freeze()
+
+	b := ir.NewClass("app.B", "lib.A")
+	c := ir.NewClass("app.C", "app.B")
+	c.Interfaces = []string{"lib.I"}
+	j := ir.NewClass("app.J", "")
+	j.Interface = true
+	j.Interfaces = []string{"lib.I"}
+	prog := base.Fork()
+	addClasses(t, prog, b, c, j)
+	sc := scene.New(prog)
+	queries := []string{"lib.A", "lib.I", "app.B", "app.C", "app.J"}
+	checkAgainstProgram(t, "cycle", sc, programOf(t, a, i, b, c, j), queries, false)
+	if !sc.SubtypeOf("lib.A", "app.B") || !sc.SubtypeOf("app.B", "lib.A") || !sc.SubtypeOf("lib.I", "app.J") {
+		t.Error("a cycle across the base/app boundary lost an edge")
+	}
+}
+
+// programOf returns a new, unfrozen program holding classes: the
+// from-scratch oracle a scene must agree with.
+func programOf(t *testing.T, classes ...*ir.Class) *ir.Program {
+	t.Helper()
+	prog := ir.NewProgram()
+	addClasses(t, prog, classes...)
+	return prog
+}
+
+func addClasses(t *testing.T, prog *ir.Program, classes ...*ir.Class) {
+	t.Helper()
+	for _, c := range classes {
+		if err := prog.AddClass(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// addMethod declares a bodyless method with nargs parameters on c, unless
+// c already has one of that name and arity.
+func addMethod(t *testing.T, c *ir.Class, name string, nargs int) {
+	t.Helper()
+	if c.Method(name, nargs) != nil {
+		return
+	}
+	m := ir.NewMethod(name, ir.Void, false)
+	for k := range nargs {
+		m.Params = append(m.Params, &ir.Local{Name: fmt.Sprintf("p%d", k)})
+	}
+	if err := c.AddMethod(m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkAgainstProgram requires sc to answer every hierarchy query on
+// queries exactly as prog does, and its resolver to dispatch every
+// virtual call exactly as a resolver built over prog from scratch. The
+// program's member walks do not guard against superclass cycles, so
+// members is false for cyclic hierarchies and only subtyping is checked.
+func checkAgainstProgram(t *testing.T, label string, sc *scene.Scene, prog *ir.Program, queries []string, members bool) {
+	t.Helper()
+	if got, want := classNames(sc.Classes()), classNames(prog.Classes()); got != want {
+		t.Fatalf("%s: Classes: scene %s, program %s", label, got, want)
+	}
+	for _, sub := range queries {
+		for _, super := range queries {
+			if got, want := sc.SubtypeOf(sub, super), prog.SubtypeOf(sub, super); got != want {
+				t.Fatalf("%s: SubtypeOf(%s, %s): scene %v, program %v", label, sub, super, got, want)
 			}
-			if got, want := fmt.Sprint(sc.SubtypesOf(sub)), fmt.Sprint(prog.SubtypesOf(sub)); got != want {
-				t.Fatalf("trial %d: SubtypesOf(%s): scene %v, program %v", trial, sub, got, want)
+		}
+		if got, want := fmt.Sprint(sc.SubtypesOf(sub)), fmt.Sprint(prog.SubtypesOf(sub)); got != want {
+			t.Fatalf("%s: SubtypesOf(%s): scene %v, program %v", label, sub, got, want)
+		}
+	}
+	if !members {
+		return
+	}
+	oracle := callgraph.NewResolver(prog)
+	for _, q := range append(queries, "") {
+		for k := 0; k < 3; k++ {
+			mn := fmt.Sprintf("m%d", k)
+			if got, want := sc.ResolveMethod(q, mn, 0), prog.ResolveMethod(q, mn, 0); got != want {
+				t.Fatalf("%s: ResolveMethod(%s, %s): scene %v, program %v", label, q, mn, got, want)
 			}
-			for k := 0; k < 3; k++ {
-				mn := fmt.Sprintf("m%d", k)
-				if got, want := sc.ResolveMethod(sub, mn, 0), prog.ResolveMethod(sub, mn, 0); got != want {
-					t.Fatalf("trial %d: ResolveMethod(%s, %s): scene %v, program %v", trial, sub, mn, got, want)
-				}
-				fn := fmt.Sprintf("f%d", k)
-				if got, want := sc.ResolveField(sub, fn), prog.ResolveField(sub, fn); got != want {
-					t.Fatalf("trial %d: ResolveField(%s, %s): scene %v, program %v", trial, sub, fn, got, want)
+			fn := fmt.Sprintf("f%d", k)
+			if got, want := sc.ResolveField(q, fn), prog.ResolveField(q, fn); got != want {
+				t.Fatalf("%s: ResolveField(%s, %s): scene %v, program %v", label, q, fn, got, want)
+			}
+			for nargs := 0; nargs < 3; nargs++ {
+				e := &ir.InvokeExpr{Kind: ir.VirtualInvoke, Ref: ir.MethodRef{Class: q, Name: mn, NArgs: nargs}}
+				if got, want := sc.Resolver().VirtualTargets(e), oracle.VirtualTargets(e); !slices.Equal(got, want) {
+					t.Fatalf("%s: VirtualTargets(%s.%s/%d): scene %v, program %v", label, q, mn, nargs, got, want)
 				}
 			}
 		}
 	}
+}
+
+func classNames(classes []*ir.Class) string {
+	var b strings.Builder
+	for _, c := range classes {
+		b.WriteString(c.Name + " ")
+	}
+	return b.String()
 }

@@ -26,11 +26,17 @@ go test -race ./...
 echo "==> go test -race ./internal/taint/... (parallel taint solver)"
 go test -race ./internal/taint/...
 
-echo "==> bench smoke (one-shot, compile + run sanity; emits BENCH_taint.json, BENCH_strings.json, BENCH_metrics.json, BENCH_query.json, BENCH_incr.json and BENCH_reflect.json)"
-go test -bench 'Smoke|QueryTaint|IncrementalTaint|ReflectionTaint' -benchtime=1x -run '^$' .
+# The smoke benches write their BENCH_*.json reports to the working
+# directory. They run from a scratch directory, so the tracked copies in
+# the repository keep their recorded numbers instead of this host's.
+bench_dir=$(mktemp -d)
+echo "==> bench smoke (one-shot, compile + run sanity; emits BENCH_taint.json, BENCH_strings.json, BENCH_metrics.json, BENCH_query.json, BENCH_incr.json and BENCH_reflect.json into $bench_dir)"
+go test -c -o "$bench_dir/root.test" .
+(cd "$bench_dir" && ./root.test -test.bench 'Smoke|QueryTaint|IncrementalTaint|ReflectionTaint' -test.benchtime=1x -test.run '^$')
 
 echo "==> checkbench (BENCH_taint.json + BENCH_strings.json + BENCH_metrics.json + BENCH_query.json + BENCH_incr.json + BENCH_reflect.json schemas, allocs/op ratchet)"
-go run ./scripts/checkbench BENCH_taint.json BENCH_strings.json BENCH_metrics.json BENCH_query.json BENCH_incr.json BENCH_reflect.json
+go run ./scripts/checkbench "$bench_dir/BENCH_taint.json" "$bench_dir/BENCH_strings.json" "$bench_dir/BENCH_metrics.json" "$bench_dir/BENCH_query.json" "$bench_dir/BENCH_incr.json" "$bench_dir/BENCH_reflect.json"
+rm -rf "$bench_dir"
 
 echo "==> summary store smoke (round-trip + deliberately corrupted entries degrade to misses)"
 go test -run 'TestWarmRunMatchesColdByteForByte|TestCorrupt' ./internal/summarystore/
