@@ -1,6 +1,6 @@
 # Convenience targets; scripts/ci.sh is the authoritative gate.
 
-.PHONY: all build test race vet fuzz bench-smoke ci
+.PHONY: all build test race vet fuzz ci
 
 all: ci
 
@@ -19,11 +19,6 @@ race:
 # Short fuzz pass over the IR parser (satellite of the resilience work).
 fuzz:
 	go test -fuzz FuzzParse -fuzztime 30s ./internal/irtext/
-
-# One-shot micro/meso benchmarks comparing the raw-Program and Scene
-# hierarchy substrates (walks/op quantifies the cached-hierarchy win).
-bench-smoke:
-	go test -bench Smoke -benchtime=1x -run '^$$' .
 
 ci:
 	./scripts/ci.sh

@@ -1,6 +1,7 @@
 package appgen
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
@@ -108,60 +109,72 @@ func TestMalwareCorpusStats(t *testing.T) {
 }
 
 // TestReflectionGroundTruthRecovered: with reflection resolution on (the
-// default), every planted leak of the reflection profile — including the
-// forName/getMethod/invoke chains and the StringBuilder-assembled
-// variant — is found, genuinely dynamic chains surface as unresolved
-// soundness entries instead of leaks, and no false positives appear.
+// default), every planted leak of the reflection profile, the
+// StringBuilder-assembled chain included, is found with no false
+// positive, and genuinely dynamic chains surface as unresolved soundness
+// entries instead of leaks.
 func TestReflectionGroundTruthRecovered(t *testing.T) {
-	apps := GenerateCorpus(Reflection, 15, 11)
-	sawReflective, sawDynamic := false, false
-	for _, app := range apps {
+	var reflective, dynamic int
+	for _, app := range GenerateCorpus(Reflection, 15, 11) {
 		res, err := core.AnalyzeFiles(context.Background(), app.Files, core.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
 		if got := len(res.Leaks()); got != app.InjectedLeaks {
-			t.Errorf("%s: found %d leaks, injected %d (%v)",
-				app.Name, got, app.InjectedLeaks, app.LeakKinds)
+			t.Errorf("%s: found %d leaks, injected %d (%v)", app.Name, got, app.InjectedLeaks, app.LeakKinds)
 		}
 		if app.ReflectiveLeaks > 0 {
-			sawReflective = true
+			reflective++
 			if res.Soundness == nil || res.Soundness.ResolvedSites == 0 {
 				t.Errorf("%s: reflective leaks planted but no resolved sites reported", app.Name)
 			}
 		}
 		if app.DynamicReflectiveChains > 0 {
-			sawDynamic = true
+			dynamic++
 			if res.Soundness == nil || len(res.Soundness.Unresolved) == 0 {
 				t.Errorf("%s: dynamic chain planted but soundness report is empty", app.Name)
 			}
 		}
 	}
-	if !sawReflective || !sawDynamic {
-		t.Fatalf("corpus sample exercised reflective=%t dynamic=%t; want both (adjust seed)",
-			sawReflective, sawDynamic)
+	if reflective == 0 || dynamic == 0 {
+		t.Fatalf("corpus sample exercised %d reflective and %d dynamic apps; want both (adjust the seed)", reflective, dynamic)
 	}
 }
 
 // TestReflectionOffMissesReflectiveLeaks: the same corpus under
-// -no-reflection finds exactly the non-reflective leaks — the soundness
-// gap made measurable.
+// -no-reflection finds exactly the non-reflective leaks and no soundness
+// report, the soundness gap made measurable. An app with no reflective
+// surface reports byte-identically in both modes.
 func TestReflectionOffMissesReflectiveLeaks(t *testing.T) {
-	apps := GenerateCorpus(Reflection, 15, 11)
-	opts := core.DefaultOptions()
-	opts.ResolveReflection = false
-	for _, app := range apps {
-		res, err := core.AnalyzeFiles(context.Background(), app.Files, opts)
+	off := core.DefaultOptions()
+	off.ResolveReflection = false
+	plain := 0
+	for _, app := range GenerateCorpus(Reflection, 15, 11) {
+		blind, err := core.AnalyzeFiles(context.Background(), app.Files, off)
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
-		want := app.InjectedLeaks - app.ReflectiveLeaks
-		if got := len(res.Leaks()); got != want {
-			t.Errorf("%s: reflection off found %d leaks, want %d of %d (%v)",
-				app.Name, got, want, app.InjectedLeaks, app.LeakKinds)
+		if got, want := len(blind.Leaks()), app.InjectedLeaks-app.ReflectiveLeaks; got != want {
+			t.Errorf("%s: reflection off found %d leaks, want %d of %d (%v)", app.Name, got, want, app.InjectedLeaks, app.LeakKinds)
 		}
-		if res.Soundness != nil {
+		if blind.Soundness != nil {
 			t.Errorf("%s: soundness report present with reflection off", app.Name)
 		}
+		if app.ReflectiveLeaks > 0 || app.DynamicReflectiveChains > 0 {
+			continue
+		}
+		plain++
+		on, err := core.AnalyzeFiles(context.Background(), app.Files, core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		a, errA := on.Taint.CanonicalJSON()
+		b, errB := blind.Taint.CanonicalJSON()
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Errorf("%s: no reflective surface, but the reports differ across modes (%v, %v):\n%s\nvs\n%s", app.Name, errA, errB, a, b)
+		}
+	}
+	if plain == 0 {
+		t.Fatal("corpus sample has no reflection-free app (adjust the seed)")
 	}
 }

@@ -139,11 +139,17 @@ func TestQueryEquivalence(t *testing.T) {
 	})
 
 	t.Run("appgen", func(t *testing.T) {
+		// Over the corpus, the single-sink "sms" query must also do
+		// strictly less solver work than the whole-program runs, and the
+		// whole-program runs must report no cone.
+		var wholeProps, smsProps, wholeCone int
 		for _, app := range appgen.GenerateCorpus(appgen.Malware, 4, 42) {
 			whole, err := core.AnalyzeFiles(context.Background(), app.Files, core.DefaultOptions())
 			if err != nil {
 				t.Fatalf("%s: %v", app.Name, err)
 			}
+			wholeProps += whole.Counters.Propagations
+			wholeCone += whole.Counters.ConeMethods + whole.Counters.SkippedComponents
 			for _, q := range queriesFor(whole.Taint, "sms") {
 				want := filteredJSON(t, whole.Taint, q)
 				for _, w := range queryWorkers {
@@ -165,8 +171,18 @@ func TestQueryEquivalence(t *testing.T) {
 					if res.Counters.ConeMethods == 0 && len(res.Taint.Leaks) > 0 {
 						t.Errorf("%s query %v: leaks found but ConeMethods = 0; the cone was not wired", app.Name, q.Sinks)
 					}
+					if w == 1 && q.Sinks[0] == "sms" {
+						smsProps += res.Counters.Propagations
+					}
 				}
 			}
+		}
+		t.Logf("propagations: whole-program %d, sms query %d", wholeProps, smsProps)
+		if wholeCone != 0 {
+			t.Errorf("whole-program runs reported %d cone methods and skipped components, want 0", wholeCone)
+		}
+		if smsProps >= wholeProps {
+			t.Errorf("the sms query made %d propagations, whole-program %d: the cone pruned nothing", smsProps, wholeProps)
 		}
 	})
 }

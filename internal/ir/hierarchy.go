@@ -1,7 +1,5 @@
 package ir
 
-import "sync/atomic"
-
 // Hierarchy is the program-model query surface the analyses resolve
 // against: class lookup, subtyping, and member resolution. *Program
 // implements it by walking the class graph on every call;
@@ -35,13 +33,3 @@ type Hierarchy interface {
 	// up the superclass chain.
 	ResolveField(class, name string) *Field
 }
-
-// subtypeWalks counts the class-graph nodes visited by Program.subtypeOf,
-// the unit of redundant hierarchy work the scene layer exists to remove.
-// The smoke benchmarks report the delta per run to compare the raw
-// Program path against the Scene path.
-var subtypeWalks atomic.Int64
-
-// SubtypeWalks returns the cumulative number of subtype-walk steps
-// Program.SubtypeOf has performed process-wide.
-func SubtypeWalks() int64 { return subtypeWalks.Load() }
